@@ -1,7 +1,7 @@
-// Physical-layer ablations: what batching buys over tuple-at-a-time
-// data flow on the E3/E6/E9 workloads, and what the prepared-query plan
-// cache buys on repeated queries (cache-hit vs. cold Run latency, and
-// Prepare+Execute vs. Run).
+// Physical-layer ablations: what 1024-row batches buy over capacity-1
+// (tuple-at-a-time) data flow on the E3/E6/E9 workloads, and what the
+// prepared-query plan cache buys on repeated queries (cache-hit vs. cold
+// Run latency, and Prepare+Execute vs. Run).
 
 #include "bench/bench_util.h"
 
@@ -35,15 +35,13 @@ Database MakeDb(size_t students) {
   return MakeUniversity(config);
 }
 
-/// Batched physical operators vs. the volcano engine, same plans, same
-/// admissions — the delta is pure per-tuple interpretation overhead.
-void RunEngineCase(benchmark::State& state, ExecOptions::Mode mode,
-                   size_t batch_size) {
+/// The same physical operators at batch size 1024 and 1: same plans, same
+/// admissions — the delta is pure per-call dispatch overhead.
+void RunEngineCase(benchmark::State& state, size_t batch_size) {
   const Workload& w = kWorkloads[state.range(1)];
   Database db = MakeDb(static_cast<size_t>(state.range(0)));
   QueryProcessor qp(&db);
   ExecOptions options;
-  options.mode = mode;
   options.batch_size = batch_size;
   qp.SetExecOptions(options);
   Execution exec;
@@ -62,13 +60,10 @@ void RunEngineCase(benchmark::State& state, ExecOptions::Mode mode,
 }
 
 void BM_Engine_Batched(benchmark::State& state) {
-  RunEngineCase(state, ExecOptions::Mode::kBatched, kDefaultBatchSize);
+  RunEngineCase(state, kDefaultBatchSize);
 }
 void BM_Engine_BatchedSize1(benchmark::State& state) {
-  RunEngineCase(state, ExecOptions::Mode::kBatched, 1);
-}
-void BM_Engine_TupleAtATime(benchmark::State& state) {
-  RunEngineCase(state, ExecOptions::Mode::kTupleAtATime, 0);
+  RunEngineCase(state, 1);
 }
 
 /// Cold pipeline: a fresh QueryProcessor per iteration, so every Run
@@ -149,7 +144,6 @@ void Args(benchmark::internal::Benchmark* b) {
 
 BENCHMARK(BM_Engine_Batched)->Apply(Args);
 BENCHMARK(BM_Engine_BatchedSize1)->Apply(Args);
-BENCHMARK(BM_Engine_TupleAtATime)->Apply(Args);
 BENCHMARK(BM_Prepared_ColdRun)->Apply(Args);
 BENCHMARK(BM_Prepared_CachedRun)->Apply(Args);
 BENCHMARK(BM_Prepared_Execute)->Apply(Args);

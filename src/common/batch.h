@@ -10,9 +10,9 @@
 namespace bryql {
 
 /// Default number of tuples a physical operator transfers per NextBatch
-/// call. 1024 keeps the per-tuple virtual-dispatch cost amortized to
-/// ~1/1000th of the tuple-at-a-time engine while a batch of small tuples
-/// (a few dozen bytes each) still fits comfortably in L2.
+/// call. 1024 amortizes the per-call virtual dispatch to ~1/1000th of a
+/// capacity-1 pull while a batch of small tuples (a few dozen bytes each)
+/// still fits comfortably in L2.
 inline constexpr size_t kDefaultBatchSize = 1024;
 
 /// A bounded buffer of tuples — the unit of data flow between physical
@@ -20,14 +20,14 @@ inline constexpr size_t kDefaultBatchSize = 1024;
 /// `capacity()` tuples per NextBatch call, and consumers that need early
 /// termination (the paper's first-witness non-emptiness test, §3.2) shrink
 /// it — a capacity-1 batch degrades gracefully to tuple-at-a-time pulls,
-/// preserving the volcano engine's short-circuit guarantees exactly.
+/// so a non-emptiness test admits exactly the tuples up to and including
+/// its first witness.
 ///
 /// Slots are recycled: Clear() resets the logical size but keeps every
 /// Tuple object (and its heap storage) alive, and AddSlot() hands the
 /// next recycled slot back to the producer. Copy-assigning a tuple into
 /// a warm slot reuses its allocation, so a steady-state batch pipeline
-/// performs no per-tuple allocations — the same property the volcano
-/// engine gets from copy-assigning into one long-lived Tuple buffer.
+/// performs no per-tuple allocations.
 class TupleBatch {
  public:
   explicit TupleBatch(size_t capacity = kDefaultBatchSize)

@@ -55,9 +55,20 @@ ParseLimits ParseLimitsFor(const QueryOptions& options) {
   return limits;
 }
 
+/// An Execution carrying `prepared`'s artifacts and no answer yet.
+Execution PlannedExecution(const PreparedQuery& prepared) {
+  Execution exec;
+  exec.query = prepared.query;
+  exec.canonical = prepared.canonical;
+  exec.plan = prepared.plan;
+  exec.physical = prepared.physical;
+  exec.rewrite_steps = prepared.rewrite_steps;
+  return exec;
+}
+
 }  // namespace
 
-Result<Execution> QueryProcessor::BuildExecution(
+Result<PreparedQuery> QueryProcessor::BuildPlan(
     const Query& raw_query, Strategy strategy, const QueryOptions& options,
     ResourceGovernor* governor) const {
   // Depth is measured iteratively before any recursive pass (view
@@ -81,67 +92,60 @@ Result<Execution> QueryProcessor::BuildExecution(
           std::to_string(options.max_formula_depth) + ")");
     }
   }
-  RewriteOptions rewrite_options;
-  rewrite_options.max_steps = options.max_rewrite_steps;
-  rewrite_options.governor = governor;
-  Execution exec;
-  exec.query = query;
-  std::set<std::string> targets(query.targets.begin(), query.targets.end());
-  if (strategy == Strategy::kNestedLoop) {
-    // Figure 1 interprets the calculus directly; normalization is still
-    // applied so all strategies answer the same canonical question (the
-    // interpreter handles ∀ natively, so this is not required, but it
-    // keeps the comparison apples-to-apples on the same formula).
-    CountPhase(&PrepareCounters::normalizations);
-    BRYQL_ASSIGN_OR_RETURN(NormalizeResult norm,
-                           NormalizeQuery(query, rewrite_options));
-    exec.canonical = norm.formula;
-    exec.rewrite_steps = norm.steps();
-    if (domain_closure_ && !CheckRestrictedQuery(exec.canonical, targets).ok()) {
-      BRYQL_ASSIGN_OR_RETURN(exec.canonical,
-                             ApplyDomainClosure(exec.canonical, targets));
-    }
-    return exec;
-  }
+  PreparedQuery prepared;
+  prepared.strategy = strategy;
+  prepared.query = query;
   if (strategy == Strategy::kClassical) {
     // The conventional methods reduce the raw query directly (prenex
     // form); no canonical form phase.
     CountPhase(&PrepareCounters::translations);
     ClassicalTranslator classical(db_);
     if (query.closed()) {
-      BRYQL_ASSIGN_OR_RETURN(exec.plan,
+      BRYQL_ASSIGN_OR_RETURN(prepared.plan,
                              classical.TranslateClosed(query.formula));
     } else {
       BRYQL_ASSIGN_OR_RETURN(TranslatedQuery t,
                              classical.TranslateOpen(query));
-      exec.plan = t.expr;
+      prepared.plan = t.expr;
     }
-    return exec;
+    return prepared;
   }
+  RewriteOptions rewrite_options;
+  rewrite_options.max_steps = options.max_rewrite_steps;
+  rewrite_options.governor = governor;
   CountPhase(&PrepareCounters::normalizations);
   BRYQL_ASSIGN_OR_RETURN(NormalizeResult norm,
                          NormalizeQuery(query, rewrite_options));
-  exec.canonical = norm.formula;
-  exec.rewrite_steps = norm.steps();
-  if (domain_closure_ && !CheckRestrictedQuery(exec.canonical, targets).ok()) {
-    BRYQL_ASSIGN_OR_RETURN(exec.canonical,
-                           ApplyDomainClosure(exec.canonical, targets));
+  prepared.canonical = norm.formula;
+  prepared.rewrite_steps = norm.steps();
+  std::set<std::string> targets(query.targets.begin(), query.targets.end());
+  if (domain_closure_ &&
+      !CheckRestrictedQuery(prepared.canonical, targets).ok()) {
+    BRYQL_ASSIGN_OR_RETURN(prepared.canonical,
+                           ApplyDomainClosure(prepared.canonical, targets));
+  }
+  if (strategy == Strategy::kNestedLoop) {
+    // Figure 1 interprets the calculus directly; it runs on the canonical
+    // form so all strategies answer the same canonical question (the
+    // interpreter handles ∀ natively, so this is not required, but it
+    // keeps the comparison apples-to-apples on the same formula).
+    return prepared;
   }
   CountPhase(&PrepareCounters::translations);
   Translator translator(db_, OptionsFor(strategy));
   if (query.closed()) {
-    BRYQL_ASSIGN_OR_RETURN(exec.plan,
-                           translator.TranslateClosed(exec.canonical));
+    BRYQL_ASSIGN_OR_RETURN(prepared.plan,
+                           translator.TranslateClosed(prepared.canonical));
   } else {
-    Query canonical_query{query.targets, exec.canonical};
+    Query canonical_query{query.targets, prepared.canonical};
     BRYQL_ASSIGN_OR_RETURN(TranslatedQuery t,
                            translator.TranslateOpen(canonical_query));
-    exec.plan = t.expr;
+    prepared.plan = t.expr;
   }
   // Plan cleanup: drop identity projections, merge selections, fold
   // statically empty inputs. Never changes results.
-  BRYQL_ASSIGN_OR_RETURN(exec.plan, SimplifyPlan(exec.plan, *db_));
-  return exec;
+  BRYQL_ASSIGN_OR_RETURN(prepared.plan, SimplifyPlan(prepared.plan, *db_));
+  return prepared;
 }
 
 std::string QueryProcessor::CacheKey(const std::string& text,
@@ -150,7 +154,7 @@ std::string QueryProcessor::CacheKey(const std::string& text,
   // Everything that shapes the prepared artifacts must be in the key:
   // the strategy and translation-affecting processor state, the lowering
   // knobs, and the structural limits (a plan prepared under lax limits
-  // must not satisfy a stricter run). Engine mode and batch size are
+  // must not satisfy a stricter run). Batch size and thread count are
   // deliberately absent — they pick how a plan is *driven*, not what it
   // is, and Execute consults them directly. Views are handled by
   // invalidation (SetViews clears the cache).
@@ -160,7 +164,6 @@ std::string QueryProcessor::CacheKey(const std::string& text,
   key += exec_options_.join_algorithm == ExecOptions::JoinAlgorithm::kSortMerge
              ? 's'
              : 'h';
-  key += exec_options_.cost_based_build_side ? 'c' : '-';
   key += '\x1f';
   key += std::to_string(options.max_formula_depth);
   key += ':';
@@ -195,34 +198,31 @@ Result<PreparedQueryPtr> QueryProcessor::PrepareInternal(
   CountPhase(&PrepareCounters::parses);
   BRYQL_ASSIGN_OR_RETURN(Query query,
                          ParseQuery(text, ParseLimitsFor(options)));
-  BRYQL_ASSIGN_OR_RETURN(Execution exec,
-                         BuildExecution(query, strategy, options, governor));
-  auto prepared = std::make_shared<PreparedQuery>();
-  prepared->text = text;
-  prepared->strategy = strategy;
-  prepared->query = exec.query;
-  prepared->canonical = exec.canonical;
-  prepared->plan = exec.plan;
-  prepared->rewrite_steps = exec.rewrite_steps;
-  if (exec.plan != nullptr) {
-    CountPhase(&PrepareCounters::lowerings);
-    Executor executor(db_, exec_options_, governor);
-    BRYQL_ASSIGN_OR_RETURN(prepared->physical, executor.Lower(exec.plan));
-  }
-  prepared->db_version = db_->version();
-  PreparedQueryPtr shared = std::move(prepared);
+  BRYQL_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                         PrepareParsed(query, strategy, options, governor));
+  prepared.text = text;
+  auto shared = std::make_shared<const PreparedQuery>(std::move(prepared));
   if (use_cache) cache_.Put(key, shared);
   return shared;
 }
 
+Result<PreparedQuery> QueryProcessor::PrepareParsed(
+    const Query& query, Strategy strategy, const QueryOptions& options,
+    ResourceGovernor* governor) const {
+  BRYQL_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                         BuildPlan(query, strategy, options, governor));
+  if (prepared.plan != nullptr) {
+    CountPhase(&PrepareCounters::lowerings);
+    Executor executor(db_, exec_options_, governor);
+    BRYQL_ASSIGN_OR_RETURN(prepared.physical, executor.Lower(prepared.plan));
+  }
+  prepared.db_version = db_->version();
+  return prepared;
+}
+
 Result<Execution> QueryProcessor::ExecuteInternal(
     const PreparedQuery& prepared, ResourceGovernor* governor) const {
-  Execution exec;
-  exec.query = prepared.query;
-  exec.canonical = prepared.canonical;
-  exec.plan = prepared.plan;
-  exec.physical = prepared.physical;
-  exec.rewrite_steps = prepared.rewrite_steps;
+  Execution exec = PlannedExecution(prepared);
   if (prepared.strategy == Strategy::kNestedLoop) {
     NestedLoopEvaluator eval(db_, governor);
     if (prepared.query.closed()) {
@@ -239,19 +239,10 @@ Result<Execution> QueryProcessor::ExecuteInternal(
     exec.stats = eval.stats();
     return exec;
   }
-  // The tuple-engine override (service degradation rung) is a per-run
-  // knob carried on the governor's options, never processor state — the
-  // plan cache and concurrent runs are unaffected.
-  ExecOptions exec_options = exec_options_;
-  if (governor->options().force_tuple_engine) {
-    exec_options.mode = ExecOptions::Mode::kTupleAtATime;
-  }
-  Executor executor(db_, exec_options, governor);
+  Executor executor(db_, exec_options_, governor);
   // The prepared physical plan is the fast path; fall back to lowering
-  // from the logical plan when the engine is in tuple-at-a-time mode or
-  // the catalog moved since preparation.
+  // from the logical plan when the catalog moved since preparation.
   const bool use_physical =
-      exec_options.mode == ExecOptions::Mode::kBatched &&
       prepared.physical != nullptr && prepared.db_version == db_->version();
   if (prepared.query.closed()) {
     bool truth = false;
@@ -280,41 +271,11 @@ Result<Execution> QueryProcessor::RunQuery(const Query& query,
                                            Strategy strategy,
                                            const QueryOptions& options) const {
   // One governor per run: the deadline clock starts here and every phase
-  // (normalize, translate, evaluate) draws down the same budgets.
+  // (normalize, translate, lower, evaluate) draws down the same budgets.
   ResourceGovernor governor(options);
-  BRYQL_ASSIGN_OR_RETURN(Execution exec,
-                         BuildExecution(query, strategy, options, &governor));
-  if (strategy == Strategy::kNestedLoop) {
-    NestedLoopEvaluator eval(db_, &governor);
-    if (query.closed()) {
-      BRYQL_ASSIGN_OR_RETURN(bool truth,
-                             eval.EvaluateClosed(exec.canonical));
-      exec.answer.closed = true;
-      exec.answer.truth = truth;
-    } else {
-      Query canonical_query{query.targets, exec.canonical};
-      BRYQL_ASSIGN_OR_RETURN(Relation rel,
-                             eval.EvaluateOpen(canonical_query));
-      exec.answer.relation = std::move(rel);
-    }
-    exec.stats = eval.stats();
-    return exec;
-  }
-  ExecOptions exec_options = exec_options_;
-  if (options.force_tuple_engine) {
-    exec_options.mode = ExecOptions::Mode::kTupleAtATime;
-  }
-  Executor executor(db_, exec_options, &governor);
-  if (query.closed()) {
-    BRYQL_ASSIGN_OR_RETURN(bool truth, executor.EvaluateBool(exec.plan));
-    exec.answer.closed = true;
-    exec.answer.truth = truth;
-  } else {
-    BRYQL_ASSIGN_OR_RETURN(Relation rel, executor.Evaluate(exec.plan));
-    exec.answer.relation = std::move(rel);
-  }
-  exec.stats = executor.stats();
-  return exec;
+  BRYQL_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                         PrepareParsed(query, strategy, options, &governor));
+  return ExecuteInternal(prepared, &governor);
 }
 
 Result<Execution> QueryProcessor::Run(const std::string& text,
@@ -357,14 +318,10 @@ Result<Execution> QueryProcessor::Explain(const std::string& text,
   BRYQL_ASSIGN_OR_RETURN(Query query,
                          ParseQuery(text, ParseLimitsFor(options)));
   ResourceGovernor governor(options);
-  BRYQL_ASSIGN_OR_RETURN(Execution exec,
-                         BuildExecution(query, strategy, options, &governor));
-  if (exec.plan != nullptr) {
-    // EXPLAIN shows the physical plan too — what will actually run.
-    Executor executor(db_, exec_options_, &governor);
-    BRYQL_ASSIGN_OR_RETURN(exec.physical, executor.Lower(exec.plan));
-  }
-  return exec;
+  // EXPLAIN shows the physical plan too — what will actually run.
+  BRYQL_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                         PrepareParsed(query, strategy, options, &governor));
+  return PlannedExecution(prepared);
 }
 
 }  // namespace bryql

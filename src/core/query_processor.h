@@ -134,7 +134,7 @@ class QueryProcessor {
   }
 
   /// Physical execution knobs used by every subsequent Run/Prepare
-  /// (engine mode, join algorithm, batch size, build-side policy).
+  /// (join algorithm, batch size, columnar scans).
   /// Invalidates the plan cache — plans depend on these choices.
   void SetExecOptions(const ExecOptions& options) {
     exec_options_ = options;
@@ -156,8 +156,9 @@ class QueryProcessor {
                         Strategy strategy = Strategy::kBry,
                         const QueryOptions& options = {}) const;
 
-  /// Runs an already-parsed query. Parse-phase limits in `options` do not
-  /// apply (there is nothing left to parse); max_formula_depth still does.
+  /// Runs an already-parsed query: the same prepare and execute steps as
+  /// Run, minus the parse. Parse-phase limits in `options` do not apply
+  /// (there is nothing left to parse); max_formula_depth still does.
   /// Bypasses the plan cache (there is no text to key on).
   Result<Execution> RunQuery(const Query& query,
                              Strategy strategy = Strategy::kBry,
@@ -204,10 +205,17 @@ class QueryProcessor {
     ++(prepare_counters_.*field);
   }
 
-  /// Normalization + translation on a parsed query (no cache, no parse).
-  Result<Execution> BuildExecution(const Query& query, Strategy strategy,
-                                   const QueryOptions& options,
-                                   ResourceGovernor* governor) const;
+  /// Normalization + translation on a parsed query (no cache, no parse,
+  /// no lowering).
+  Result<PreparedQuery> BuildPlan(const Query& query, Strategy strategy,
+                                  const QueryOptions& options,
+                                  ResourceGovernor* governor) const;
+  /// BuildPlan + lowering of the algebra plan: a PreparedQuery without
+  /// its text. The processor's one lowering call site, shared by
+  /// PrepareInternal, RunQuery and Explain.
+  Result<PreparedQuery> PrepareParsed(const Query& query, Strategy strategy,
+                                      const QueryOptions& options,
+                                      ResourceGovernor* governor) const;
   Result<PreparedQueryPtr> PrepareInternal(const std::string& text,
                                            Strategy strategy,
                                            const QueryOptions& options,

@@ -26,11 +26,11 @@ class MorselSource;
 /// (comparisons and cache misses), never admission.
 ///
 /// A capacity-1 consumer (the NonEmpty first-witness pull) switches the
-/// operator to row-at-a-time admission and evaluation, preserving the
-/// volcano engine's guarantee that exactly w+1 rows are admitted when the
-/// witness sits at row w. Pruned segments are still admitted in bulk —
-/// they provably cannot contain the witness, and the row path would scan
-/// straight past those rows anyway.
+/// operator to row-at-a-time admission and evaluation, so exactly w+1
+/// rows are admitted when the witness sits at row w, as on the row path.
+/// Pruned segments are still admitted in bulk — they provably cannot
+/// contain the witness, and the row path would scan straight past those
+/// rows anyway.
 ///
 /// With a MorselSource (parallel workers), claims are morsel-sized and
 /// morsel-aligned, and one morsel is one segment (kSegmentRows ==

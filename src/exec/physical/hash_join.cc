@@ -52,9 +52,9 @@ HashJoinOp::HashJoinOp(PhysicalOpPtr left, PhysicalOpPtr right,
       probe_cursor_(build_left ? right_.get() : left_.get()) {}
 
 Status HashJoinOp::Open() {
-  // The probe side opens first, the build side is drained second —
-  // the same order the volcano engine constructs its iterator tree in,
-  // so nested blocking edges admit resources in the same sequence.
+  // The probe side opens first, the build side is drained second — a
+  // fixed order, so nested blocking edges admit resources in the same
+  // sequence on every run.
   PhysicalOperator* probe = build_left_ ? right_.get() : left_.get();
   PhysicalOperator* build = build_left_ ? left_.get() : right_.get();
   BRYQL_RETURN_NOT_OK(probe->Open());

@@ -47,15 +47,17 @@ struct PhysicalContext {
 ///                 An OK status with an *empty* batch means exhausted.
 ///                 Operators honour the requested capacity and request no
 ///                 more than that from their children, so a capacity-1
-///                 pull (the non-emptiness test) keeps the volcano
-///                 engine's first-witness guarantees.
+///                 pull (the non-emptiness test) stops at the first
+///                 witness.
 ///   Close()     — release state; optional.
 ///
-/// Resource governance mirrors the volcano engine admission-for-admission:
-/// base reads pass AdmitScan, intermediate insertions AdmitMaterialize,
-/// and inner loops Tick. Because NextBatch returns Status (unlike the
-/// bool-returning volcano Next), a tripped governor surfaces directly as
-/// the governor's latched Status instead of masquerading as exhaustion.
+/// Resource governance: base reads pass AdmitScan, intermediate
+/// insertions AdmitMaterialize, and inner loops Tick. Admissions are
+/// counted per tuple, never per batch, so a run's totals — and with them
+/// its budget verdict and StatusCode — do not depend on the batch size.
+/// Because NextBatch returns Status, a tripped governor surfaces directly
+/// as the governor's latched Status instead of masquerading as
+/// exhaustion.
 class PhysicalOperator {
  public:
   virtual ~PhysicalOperator() = default;
@@ -112,9 +114,8 @@ class BatchCursor {
 };
 
 /// Drain helpers used by blocking edges of a plan (hash builds, sort
-/// inputs, division inputs). Each mirrors the volcano engine's admission
-/// and fault-injection pattern for the same edge, so batched and
-/// tuple-at-a-time runs trip the governor on the same tuple.
+/// inputs, division inputs). Each admits every drained tuple in input
+/// order, so runs at any batch size reach the same budget verdict.
 
 /// Fully drains `child` into a relation: every tuple is admitted as a
 /// materialization, fresh insertions are counted ("exec.materialize.insert"

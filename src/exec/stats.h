@@ -56,8 +56,9 @@ struct ExecStats {
   /// accounting still admits their rows (parity with the row engine);
   /// pruning saves value work, which `comparisons` shows.
   size_t segments_pruned = 0;
-  /// Per-operator detail, in plan-instantiation order (root first). Empty
-  /// under the tuple-at-a-time engine, which has no per-operator clock.
+  /// Per-operator detail, in plan-instantiation order (root first). Every
+  /// algebra strategy fills it; it is empty only for the nested-loop
+  /// strategy, which runs no physical operators.
   std::vector<OperatorStats> operator_stats;
 
   void Add(const ExecStats& other) {

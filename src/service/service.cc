@@ -63,7 +63,6 @@ std::string ServiceStats::ToString() const {
          " transient_failures=" + std::to_string(transient_failures) +
          " degraded_serial=" + std::to_string(degraded_serial) +
          " degraded_cache_bypass=" + std::to_string(degraded_cache_bypass) +
-         " degraded_tuple_engine=" + std::to_string(degraded_tuple_engine) +
          " overload_degraded=" + std::to_string(overload_degraded) +
          " peak_running=" + std::to_string(peak_running) +
          " peak_waiting=" + std::to_string(peak_waiting);
@@ -267,7 +266,7 @@ Result<ServiceReply> QueryService::Submit(const ServiceRequest& request) {
   for (size_t attempt = 0; attempt < options_.retry.max_attempts; ++attempt) {
     const int level =
         options_.enable_degradation
-            ? std::min(base_level + static_cast<int>(attempt), 3)
+            ? std::min(base_level + static_cast<int>(attempt), 2)
             : 0;
     QueryOptions attempt_options = request.options;
     if (has_deadline) {
@@ -286,10 +285,6 @@ Result<ServiceReply> QueryService::Submit(const ServiceRequest& request) {
     if (level >= 2) {
       attempt_options.bypass_plan_cache = true;
       degraded_cache_bypass_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (level >= 3) {
-      attempt_options.force_tuple_engine = true;
-      degraded_tuple_engine_.fetch_add(1, std::memory_order_relaxed);
     }
 
     const auto attempt_start = std::chrono::steady_clock::now();
@@ -375,8 +370,6 @@ ServiceStats QueryService::stats() const {
   s.degraded_serial = degraded_serial_.load(std::memory_order_relaxed);
   s.degraded_cache_bypass =
       degraded_cache_bypass_.load(std::memory_order_relaxed);
-  s.degraded_tuple_engine =
-      degraded_tuple_engine_.load(std::memory_order_relaxed);
   s.overload_degraded = overload_degraded_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mutex_);

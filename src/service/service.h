@@ -87,8 +87,8 @@ struct ServiceReply {
   /// Attempts consumed (1 = first try succeeded).
   size_t attempts = 1;
   /// Degradation-ladder rung of the successful attempt: 0 = as
-  /// requested, 1 = serial, 2 = serial + plan-cache bypass, 3 = serial +
-  /// cache bypass + tuple-at-a-time engine.
+  /// requested, 1 = serial, 2 = serial + plan-cache bypass (the last
+  /// rung).
   int degradation_level = 0;
 };
 
@@ -111,11 +111,10 @@ struct ServiceStats {
   /// Attempts that failed with the transient class (kTransient, or
   /// barrier-contained kInternal — Status::IsContainedException()).
   size_t transient_failures = 0;
-  /// Attempts run at each degradation rung (an attempt at rung 3 counts
-  /// in all three).
+  /// Attempts run at each degradation rung (an attempt at rung 2 counts
+  /// in both).
   size_t degraded_serial = 0;
   size_t degraded_cache_bypass = 0;
-  size_t degraded_tuple_engine = 0;
   /// Requests that *started* degraded because the queue was filling up.
   size_t overload_degraded = 0;
   /// High-water marks of concurrent execution and queue depth.
@@ -140,9 +139,11 @@ struct ServiceStats {
 ///     transient error class (kTransient injections, exception-barrier
 ///     kInternal), honouring the request deadline across attempts;
 ///   * a graceful-degradation ladder: each retry steps down
-///     parallel → serial → plan-cache bypass → tuple-at-a-time engine,
-///     and new work starts one rung down while the queue is congested —
-///     trading speed for survivability exactly when that trade is right;
+///     parallel → serial → serial + plan-cache bypass, and new work
+///     starts one rung down while the queue is congested — trading speed
+///     for survivability exactly when that trade is right. Every rung runs
+///     the same batched physical operators; the ladder sheds parallelism
+///     and a possibly poisoned cached plan, not the engine;
 ///   * an exception backstop: any throw escaping the evaluation pipeline
 ///     (the engine's own barrier already contains operator throws)
 ///     becomes a well-formed kInternal, never a dead process.
@@ -233,8 +234,7 @@ class QueryService {
   mutable std::atomic<size_t> submitted_{0}, admitted_{0}, completed_{0},
       failed_{0}, rejected_queue_full_{0}, rejected_deadline_{0},
       queue_timeouts_{0}, retries_{0}, transient_failures_{0},
-      degraded_serial_{0}, degraded_cache_bypass_{0},
-      degraded_tuple_engine_{0}, overload_degraded_{0};
+      degraded_serial_{0}, degraded_cache_bypass_{0}, overload_degraded_{0};
   size_t peak_running_ = 0;
   size_t peak_waiting_ = 0;
 };

@@ -2,6 +2,7 @@
 #define BRYQL_STORAGE_DATABASE_H_
 
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,14 @@ namespace bryql {
 
 /// A catalog of named base relations — the "database instance" queries run
 /// against. Lookup is by predicate name as it appears in calculus atoms.
+///
+/// Thread safety: every const member may be called concurrently from any
+/// number of threads (including Get("dom"), whose lazily rebuilt view is
+/// published under a lock). Mutations — Put, PutRows, BuildIndex,
+/// BuildAllIndexes, EnableColumnar[All], assignment — are not
+/// synchronized: a writer needs external exclusion from every reader and
+/// every other writer, and pointers returned by Get are invalidated by
+/// the next mutation.
 class Database {
  public:
   Database() = default;
@@ -29,8 +38,8 @@ class Database {
 
   /// The relation bound to `name`, or NotFound. The name "dom" — unless
   /// shadowed by a stored relation — resolves to the active domain (the
-  /// paper's Domain Closure Assumption view, §2.1), cached and rebuilt
-  /// after updates.
+  /// paper's Domain Closure Assumption view, §2.1), rebuilt lazily by the
+  /// first "dom" lookup after a mutation and shared until the next one.
   Result<const Relation*> Get(const std::string& name) const;
 
   /// Arity of the relation bound to `name`, or NotFound.
@@ -70,10 +79,23 @@ class Database {
   uint64_t version() const { return version_; }
 
  private:
+  /// The "dom" view, rebuilt at most once per catalog version under
+  /// `mutex`. Copies start empty (version 0 never matches version_), so a
+  /// copied or assigned catalog rebuilds its own view.
+  struct DomainCache {
+    DomainCache() = default;
+    DomainCache(const DomainCache&) {}
+    DomainCache& operator=(const DomainCache&) {
+      version = 0;
+      return *this;
+    }
+    std::mutex mutex;
+    Relation relation{1};
+    uint64_t version = 0;
+  };
+
   std::map<std::string, Relation> relations_;
-  /// Cache for the "dom" view; rebuilt when version_ advances.
-  mutable Relation domain_cache_{1};
-  mutable uint64_t domain_cache_version_ = 0;
+  mutable DomainCache domain_;
   uint64_t version_ = 1;
 };
 

@@ -126,9 +126,9 @@ TEST_P(ColumnarDifferentialTest, BudgetsTripIdentically) {
 }
 
 /// The service degradation ladder drives the same prepared plans through
-/// progressively simpler execution modes. Each rung must preserve the
-/// row/columnar agreement — including the last rung, which abandons the
-/// batched engine (and with it the columnar path) entirely.
+/// progressively simpler execution modes: parallel, serial, and serial
+/// with a cold (cache-bypassed) plan. Each rung must preserve the
+/// row/columnar agreement.
 TEST_P(ColumnarDifferentialTest, DegradationLadderPreservesParity) {
   QueryProcessor columnar_qp(&db_);
   QueryProcessor row_qp(&db_);
@@ -146,9 +146,6 @@ TEST_P(ColumnarDifferentialTest, DegradationLadderPreservesParity) {
   QueryOptions bypass;
   bypass.bypass_plan_cache = true;
   ladder.push_back({"bypass-cache", bypass});
-  QueryOptions tuple_engine;
-  tuple_engine.force_tuple_engine = true;
-  ladder.push_back({"tuple-engine", tuple_engine});
 
   for (const Rung& rung : ladder) {
     for (const NamedQuery& nq : PaperQuerySuite()) {

@@ -1,9 +1,9 @@
 // Join-algorithm parity: every member of the join family — inner, semi,
 // anti (complement-join), outer, mark (constrained outer-join), plus the
 // difference/intersection reductions — must produce identical relations
-// under hash and sort-merge lowering, in both the batched and the
-// tuple-at-a-time engine. Parameterized over seeds so the inputs cover
-// duplicates, empty partner sets and skewed keys.
+// under hash and sort-merge lowering, at the default batch size and at
+// batch size 1 (tuple-at-a-time data flow). Parameterized over seeds so
+// the inputs cover duplicates, empty partner sets and skewed keys.
 
 #include <gtest/gtest.h>
 
@@ -108,20 +108,17 @@ TEST_P(JoinParityTest, HashAndSortMergeAgreeOnEveryJoinKind) {
     Relation reference{0};
     bool first = true;
     std::string reference_config;
-    for (ExecOptions::Mode mode :
-         {ExecOptions::Mode::kBatched, ExecOptions::Mode::kTupleAtATime}) {
+    for (size_t batch_size : {kDefaultBatchSize, size_t{1}}) {
       for (ExecOptions::JoinAlgorithm algo :
            {ExecOptions::JoinAlgorithm::kHash,
             ExecOptions::JoinAlgorithm::kSortMerge}) {
         ExecOptions options;
-        options.mode = mode;
+        options.batch_size = batch_size;
         options.join_algorithm = algo;
         Executor executor(&db, options);
         auto got = executor.Evaluate(expr);
         std::string config =
-            std::string(mode == ExecOptions::Mode::kBatched ? "batched"
-                                                            : "volcano") +
-            "/" +
+            "batch-" + std::to_string(batch_size) + "/" +
             (algo == ExecOptions::JoinAlgorithm::kHash ? "hash"
                                                        : "sort-merge");
         ASSERT_TRUE(got.ok())

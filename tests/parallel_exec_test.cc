@@ -4,8 +4,9 @@
 // must produce identical answers at num_threads ∈ {1, 2, 8} and serial,
 // with identical Status verdicts under tuple budgets, deadlines and
 // cancellation. Also covers concurrent QueryProcessor use: many threads
-// sharing one processor (and so one plan cache) must never race or lose
-// counter increments; scripts/check.sh runs this binary under TSan.
+// sharing one processor (and so one plan cache, and one lazily rebuilt
+// "dom" view) must never race or lose counter increments;
+// scripts/check.sh runs this binary under TSan.
 
 #include <gtest/gtest.h>
 
@@ -348,6 +349,75 @@ TEST(ConcurrentQueryProcessorTest, ManyThreadsShareOneProcessorAndCache) {
   // threads may each miss-and-prepare the same query, never fewer.
   EXPECT_GE(stats.misses, kQueries);
   EXPECT_LE(qp.cache_size(), kQueries);
+}
+
+/// The "dom" view (§2.1) is rebuilt lazily by the first lookup after a
+/// catalog write. After each Put, concurrent classical and
+/// domain-closure readers all miss at once; they must share one rebuild
+/// without racing and every one must see the new domain.
+TEST(ConcurrentQueryProcessorTest, DomViewRebuildAfterPutIsRaceFree) {
+  Database db = MakeUniversity(SmallConfig(5));
+  QueryProcessor qp(&db);
+  qp.EnableDomainClosure();
+  // Unrestricted queries: the classical translation ranges x over "dom",
+  // and domain closure inserts a dom(x) range atom for kBry.
+  const std::vector<std::string> texts = {
+      "{ x | ~student(x) }", "exists x: ~student(x) & ~lecture(x, db)"};
+  const std::vector<Strategy> strategies = {Strategy::kClassical,
+                                            Strategy::kBry};
+  for (const std::string& text : texts) {
+    auto explain = qp.Explain(text, Strategy::kClassical);
+    ASSERT_TRUE(explain.ok()) << text << ": " << explain.status();
+    ASSERT_NE(explain->plan->ToString().find("dom"), std::string::npos)
+        << text << " must read the dom view";
+  }
+  const size_t kThreads = 4;
+  const size_t kRounds = 3;
+
+  for (size_t round = 0; round < kRounds; ++round) {
+    // A write that grows the domain: answers computed on a stale view
+    // would miss the new value.
+    Relation extra(1);
+    ASSERT_TRUE(
+        extra.Insert(Tuple({Value::String("new" + std::to_string(round))}))
+            .ok());
+    db.Put("extra" + std::to_string(round), std::move(extra));
+
+    // References from the nested-loop oracle on a copy, so the shared
+    // catalog's view is still stale when the threads start.
+    Database copy = db;
+    QueryProcessor oracle_qp(&copy);
+    oracle_qp.EnableDomainClosure();
+    std::vector<Execution> reference;
+    for (const std::string& text : texts) {
+      auto run = oracle_qp.Run(text, Strategy::kNestedLoop);
+      ASSERT_TRUE(run.ok()) << text << ": " << run.status();
+      reference.push_back(std::move(*run));
+    }
+
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t]() {
+        for (size_t i = 0; i < texts.size(); ++i) {
+          const size_t q = (i + t) % texts.size();
+          const Strategy s = strategies[t % strategies.size()];
+          auto run = qp.Run(texts[q], s);
+          if (!run.ok() ||
+              run->answer.closed != reference[q].answer.closed ||
+              (run->answer.closed
+                   ? run->answer.truth != reference[q].answer.truth
+                   : run->answer.relation.SortedRows() !=
+                         reference[q].answer.relation.SortedRows())) {
+            failures.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(failures.load(), 0) << "round " << round;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
-// Differential testing of the prepared/batched path against the original
-// single-shot tuple-at-a-time path: the whole paper query suite over
-// randomized databases must produce identical relations, and under a
-// resource budget both paths must trip with the identical Status. Also
-// covers the prepared-query contract itself: the second run of a query
-// does zero parse/rewrite/translate/lower work, and the LRU plan cache
-// behaves as one.
+// Differential testing of the prepared/batched algebra path against two
+// oracles: the Figure 1 nested-loop interpreter, which evaluates the
+// calculus directly and so shares no code with translation or the
+// physical operators, for answers; and the same operators at batch size 1
+// for budget and trip-code parity. The whole paper query suite runs over
+// randomized databases. Also covers the prepared-query contract itself:
+// the second run of a query does zero parse/rewrite/translate/lower work,
+// and the LRU plan cache behaves as one.
 
 #include <gtest/gtest.h>
 
@@ -28,9 +29,9 @@ UniversityConfig SmallConfig(uint64_t seed) {
   return config;
 }
 
-ExecOptions VolcanoOptions() {
+ExecOptions BatchOneOptions() {
   ExecOptions options;
-  options.mode = ExecOptions::Mode::kTupleAtATime;
+  options.batch_size = 1;
   return options;
 }
 
@@ -47,42 +48,61 @@ void ExpectSameAnswer(const Execution& a, const Execution& b,
 class PreparedDifferentialTest : public ::testing::TestWithParam<uint64_t> {
 };
 
-/// The headline differential: old path vs. new path, whole suite,
-/// randomized databases, the strategies with a real algebra pipeline.
+/// The headline differential: every suite query, randomized databases,
+/// the strategies with a real algebra pipeline, each against the
+/// nested-loop oracle through every run path (Run, RunQuery,
+/// Prepare → Execute). kBry also runs at batch size 1; kClassical's
+/// cartesian products make a fourth pass too slow for the suite.
 TEST_P(PreparedDifferentialTest, SuiteAgreesAcrossEngines) {
   Database db = MakeUniversity(SmallConfig(GetParam()));
-  QueryProcessor volcano_qp(&db);
-  volcano_qp.SetExecOptions(VolcanoOptions());
+  QueryProcessor oracle_qp(&db);
   QueryProcessor batched_qp(&db);
+  QueryProcessor batch_one_qp(&db);
+  batch_one_qp.SetExecOptions(BatchOneOptions());
 
-  for (Strategy s : {Strategy::kBry, Strategy::kClassical}) {
-    for (const NamedQuery& nq : PaperQuerySuite()) {
-      auto old_path = volcano_qp.Run(nq.text, s);
-      ASSERT_TRUE(old_path.ok()) << nq.name << ": " << old_path.status();
+  for (const NamedQuery& nq : PaperQuerySuite()) {
+    auto oracle = oracle_qp.Run(nq.text, Strategy::kNestedLoop);
+    ASSERT_TRUE(oracle.ok()) << nq.name << ": " << oracle.status();
+    for (Strategy s : {Strategy::kBry, Strategy::kClassical}) {
+      const std::string label = nq.name + " [" + StrategyName(s) + "]";
 
-      // New path, single-shot Run (lower + batched execute).
+      // Single-shot Run (prepare through the cache, batched execute).
       auto run = batched_qp.Run(nq.text, s);
-      ASSERT_TRUE(run.ok()) << nq.name << ": " << run.status();
-      ExpectSameAnswer(*old_path, *run, nq.name + " via Run");
+      ASSERT_TRUE(run.ok()) << label << ": " << run.status();
+      ExpectSameAnswer(*oracle, *run, label + " via Run");
 
-      // New path, explicit Prepare → Execute.
+      // Uncached RunQuery on the parsed query.
+      auto parsed = ParseQuery(nq.text);
+      ASSERT_TRUE(parsed.ok()) << label << ": " << parsed.status();
+      auto run_query = batched_qp.RunQuery(*parsed, s);
+      ASSERT_TRUE(run_query.ok()) << label << ": " << run_query.status();
+      ExpectSameAnswer(*oracle, *run_query, label + " via RunQuery");
+
+      // Explicit Prepare → Execute.
       auto prepared = batched_qp.Prepare(nq.text, s);
-      ASSERT_TRUE(prepared.ok()) << nq.name << ": " << prepared.status();
+      ASSERT_TRUE(prepared.ok()) << label << ": " << prepared.status();
       auto exec = batched_qp.Execute(*prepared);
-      ASSERT_TRUE(exec.ok()) << nq.name << ": " << exec.status();
-      ExpectSameAnswer(*old_path, *exec, nq.name + " via Prepare/Execute");
+      ASSERT_TRUE(exec.ok()) << label << ": " << exec.status();
+      ExpectSameAnswer(*oracle, *exec, label + " via Prepare/Execute");
+
+      // Capacity-1 batches: tuple-at-a-time data flow, same operators.
+      if (s == Strategy::kBry) {
+        auto batch_one = batch_one_qp.Run(nq.text, s);
+        ASSERT_TRUE(batch_one.ok()) << label << ": " << batch_one.status();
+        ExpectSameAnswer(*oracle, *batch_one, label + " at batch 1");
+      }
     }
   }
 }
 
-/// Governor parity: for any one budget, both engines must reach the same
-/// verdict — both succeed with equal answers, or both trip with the same
-/// StatusCode. The batched operators mirror the volcano engine's
-/// admissions, so a budget that stops one stops the other.
+/// Governor parity: for any one budget, batch sizes 1 and 1024 must reach
+/// the same verdict — both succeed with equal answers, or both trip with
+/// the same StatusCode. Admissions are counted per tuple, never per
+/// batch, so a budget that stops one stops the other.
 TEST_P(PreparedDifferentialTest, BudgetTripsIdenticallyAcrossEngines) {
   Database db = MakeUniversity(SmallConfig(GetParam()));
-  QueryProcessor volcano_qp(&db);
-  volcano_qp.SetExecOptions(VolcanoOptions());
+  QueryProcessor batch_one_qp(&db);
+  batch_one_qp.SetExecOptions(BatchOneOptions());
   QueryProcessor batched_qp(&db);
 
   struct Budget {
@@ -101,20 +121,19 @@ TEST_P(PreparedDifferentialTest, BudgetTripsIdenticallyAcrossEngines) {
 
   for (const Budget& budget : budgets) {
     for (const NamedQuery& nq : PaperQuerySuite()) {
-      auto old_path = volcano_qp.Run(nq.text, Strategy::kBry,
-                                     budget.options);
-      auto new_path = batched_qp.Run(nq.text, Strategy::kBry,
-                                     budget.options);
+      auto batch_one = batch_one_qp.Run(nq.text, Strategy::kBry,
+                                        budget.options);
+      auto batched = batched_qp.Run(nq.text, Strategy::kBry, budget.options);
       const std::string label = nq.name + " [" + budget.label + " cap]";
-      ASSERT_EQ(old_path.ok(), new_path.ok())
-          << label << ": volcano=" << old_path.status()
-          << " batched=" << new_path.status();
-      if (old_path.ok()) {
-        ExpectSameAnswer(*old_path, *new_path, label);
+      ASSERT_EQ(batch_one.ok(), batched.ok())
+          << label << ": batch-1=" << batch_one.status()
+          << " batch-1024=" << batched.status();
+      if (batch_one.ok()) {
+        ExpectSameAnswer(*batch_one, *batched, label);
       } else {
-        EXPECT_EQ(old_path.status().code(), new_path.status().code())
-            << label << ": volcano=" << old_path.status()
-            << " batched=" << new_path.status();
+        EXPECT_EQ(batch_one.status().code(), batched.status().code())
+            << label << ": batch-1=" << batch_one.status()
+            << " batch-1024=" << batched.status();
       }
     }
   }

@@ -411,15 +411,14 @@ TEST_F(ServiceFailpointTest, PersistentTransientFaultExhaustsAttempts) {
   EXPECT_EQ(stats.failed, 1u);
 }
 
-TEST_F(ServiceFailpointTest, DegradationLadderEscapesThrowSite) {
-  // exec.physical.throw fires on every batched-operator dispatch but is
-  // structurally absent from the tuple-at-a-time engine: only a service
-  // that walks the full ladder (serial → cache bypass → tuple engine)
-  // can still answer. This is the ladder's reason to exist, in one test.
+TEST_F(ServiceFailpointTest, PersistentThrowExhaustsTheLadderAsTransient) {
+  // exec.physical.throw fires on every physical-operator dispatch, and
+  // every rung runs the same operators, so no rung escapes it. The
+  // ladder walks parallel → serial → serial + cache bypass and then stays
+  // on its last rung: attempts run at rungs 0, 1, 2, 2, and the request
+  // ends as kTransient once max_attempts is spent.
   Database db = MakeUniversity(SmallConfig(3));
   QueryProcessor qp(&db);
-  auto oracle = qp.Run(kOpenQuery);
-  ASSERT_TRUE(oracle.ok());
 
   failpoints::Arm("exec.physical.throw", Status::Internal("operator bomb"));
   ServiceOptions options;
@@ -427,16 +426,19 @@ TEST_F(ServiceFailpointTest, DegradationLadderEscapesThrowSite) {
   options.retry.initial_backoff = 100us;
   QueryService service(&qp, options);
   auto reply = service.Run(kOpenQuery);
-  ASSERT_TRUE(reply.ok()) << reply.status();
-  ExpectSameAnswer(oracle->answer, reply->execution.answer);
-  EXPECT_EQ(reply->attempts, 4u);
-  EXPECT_EQ(reply->degradation_level, 3);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kTransient);
+  EXPECT_NE(reply.status().message().find("attempts exhausted"),
+            std::string::npos)
+      << reply.status();
   ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.degraded_tuple_engine, 1u);
-  EXPECT_GE(stats.degraded_serial, 1u);
-  EXPECT_GE(stats.degraded_cache_bypass, 1u);
+  EXPECT_EQ(stats.retries, 3u);
+  EXPECT_EQ(stats.transient_failures, 4u);
+  EXPECT_EQ(stats.degraded_serial, 3u);        // rungs 1, 2, 2
+  EXPECT_EQ(stats.degraded_cache_bypass, 2u);  // rungs 2, 2
+  EXPECT_EQ(stats.failed, 1u);
 
-  // Without the ladder the same fault is terminal.
+  // Without the ladder the same fault is terminal too, at rung 0 only.
   failpoints::DisarmAll();
   failpoints::Arm("exec.physical.throw", Status::Internal("operator bomb"));
   ServiceOptions rigid = options;
@@ -445,6 +447,8 @@ TEST_F(ServiceFailpointTest, DegradationLadderEscapesThrowSite) {
   auto stuck = undegraded.Run(kOpenQuery);
   ASSERT_FALSE(stuck.ok());
   EXPECT_EQ(stuck.status().code(), StatusCode::kTransient);
+  EXPECT_EQ(undegraded.stats().degraded_serial, 0u);
+  EXPECT_EQ(undegraded.stats().degraded_cache_bypass, 0u);
 }
 
 TEST_F(ServiceFailpointTest, PlainInternalFailureIsNeitherRetriedNorRelabelled) {
@@ -482,8 +486,8 @@ TEST_F(ServiceFailpointTest, DeadlineBoundsRetriesAndBackoff) {
   options.retry.max_backoff = 200ms;
   QueryService service(&qp, options);
 
-  // Every engine (volcano included) opens scans, so every ladder rung
-  // fails: the request can only end by deadline or attempt exhaustion,
+  // Every ladder rung opens scans, so every rung fails: the request can
+  // only end by deadline or attempt exhaustion,
   // and the deadline must win long before ten 20ms+ backoffs elapse.
   failpoints::Arm("exec.scan.open", Status::Transient("always down"));
   QueryOptions bounded;
