@@ -3,10 +3,10 @@
 // join- and filter-bound queries):
 //
 //   1. Scaling — one prepared plan, driven at num_threads ∈ {1, 2, 4, 8}
-//      vs. the serial engine. The speedup is hardware-bound: on a
-//      single-core host the workers time-share one CPU and the curve is
-//      flat (the run then measures coordination overhead, which is the
-//      honest number to record there).
+//      vs. the serial engine. num_threads ≤ 1 runs serially, so t1 is
+//      the serial engine by construction; t2..t8 fan out. The speedup is
+//      hardware-bound: on a single-core host the workers time-share one
+//      CPU and the curve measures coordination overhead only.
 //   2. Serial overhead — num_threads = 0 must be within noise of the
 //      pre-parallelism engine. The parallel hooks are pointer checks
 //      decided at operator-build time, so the per-tuple path is
@@ -42,8 +42,8 @@ Database MakeDb(size_t students) {
   return MakeUniversity(config);
 }
 
-/// One prepared plan, executed at the thread count in range(2) — 0 is
-/// the serial PlanRuntime, N > 0 the morsel-driven ParallelRuntime.
+/// One prepared plan, executed at the thread count in range(2) — 0 and 1
+/// run the PlanRuntime serially, N > 1 morsel-parallel with N workers.
 void BM_Parallel_Execute(benchmark::State& state) {
   const Workload& w = kWorkloads[state.range(1)];
   Database db = MakeDb(static_cast<size_t>(state.range(0)));

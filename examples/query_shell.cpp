@@ -19,7 +19,7 @@
 //   .strategy <name>          bry | bry-division | bry-union-filters |
 //                             quel-counting | classical | nested-loop
 //   .threads <n>              morsel-parallel execution with n workers
-//                             (0 = serial, the default)
+//                             (0 = serial, the default; 1 is serial too)
 //   .columnar on|off          build column stores and let the lowering
 //                             pick zone-pruned columnar scans (off =
 //                             row path only; answers never change)
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
       if (in >> n) {
         num_threads = n;
         std::cout << "threads = " << num_threads
-                  << (num_threads == 0 ? " (serial)" : "") << "\n";
+                  << (num_threads <= 1 ? " (serial)" : "") << "\n";
       } else {
         std::cout << "usage: .threads <n>\n";
       }

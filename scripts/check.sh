@@ -50,9 +50,10 @@ cmake --build build-tsan -j "$JOBS"
 # The parallel suite exercises every shared structure; plan-cache and
 # prepared-query tests cover the concurrent QueryProcessor paths; the
 # service and chaos suites cover admission, retry and fault injection
-# under 8-way client concurrency.
+# under 8-way client concurrency; the columnar differential suite runs
+# ColumnarScanOp under morsels at 2 and 8 workers.
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'parallel|plan_cache|prepared|service'
+  -R 'parallel|plan_cache|prepared|service|columnar_differential'
 
 echo "== [5/5] chaos seed sweep (failpoints build) =="
 cmake -B build-chaos -S . -DBRYQL_FAILPOINTS=ON >/dev/null

@@ -54,10 +54,10 @@ enum class PhysicalKind {
 const char* PhysicalKindName(PhysicalKind kind);
 
 /// How a node participates in morsel-driven parallel execution
-/// (ParallelRuntime, QueryOptions::num_threads > 0). Annotated by the
-/// lowering pass as static plan structure — the same plan runs serially
-/// or in parallel, so the role describes what the node *would* do at
-/// num_threads > 0, and is surfaced by the physical EXPLAIN.
+/// (QueryOptions::num_threads > 1). Annotated by the lowering pass as
+/// static plan structure — the same plan runs serially or in parallel, so
+/// the role describes what the node *would* do at num_threads > 1, and is
+/// surfaced by the physical EXPLAIN.
 enum class ParallelRole {
   kSerial,             // off the spine; always runs single-threaded
   kPipeline,           // replicated per worker, streams its partition

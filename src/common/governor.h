@@ -63,9 +63,9 @@ struct QueryOptions {
   /// every ResourceGovernor::kCheckInterval = 1024 admissions/ticks —
   /// see the cadence note on ResourceGovernor::Tick.
   const CancellationToken* cancellation = nullptr;
-  /// Worker threads for batched physical execution. 0 = serial (today's
-  /// behaviour, bit-for-bit); N > 0 fans each pipeline out into N
-  /// morsel-fed partitions on the shared ThreadPool. Every algebra
+  /// Worker threads for batched physical execution. 0 or 1 = serial;
+  /// N > 1 fans each pipeline out into N morsel-fed partitions on the
+  /// shared ThreadPool. Every algebra
   /// strategy honours it; the nested-loop strategy, which runs no physical
   /// operators, ignores it.
   /// Deliberately absent from the plan-cache key: the degree picks how a

@@ -74,7 +74,7 @@ void RunOnWorkers(ThreadPool& pool, size_t workers,
       done_cv.notify_one();
     });
   }
-  fn(0);  // the coordinator's own partition — guarantees progress
+  fn(0);  // the caller's own partition, run while the pool catches up
   std::unique_lock<std::mutex> lock(done_mutex);
   done_cv.wait(lock, [&] { return pending == 0; });
 }

@@ -15,10 +15,10 @@ namespace bryql {
 /// FIFO order. The pool is deliberately minimal: no futures, no task
 /// dependencies — callers coordinate through their own latches (see
 /// RunOnWorkers below), which keeps the invariant that **a pool task never
-/// blocks on another pool task**. The parallel runtime preserves that
-/// invariant by running one partition inline on the submitting
-/// (coordinator) thread, so phases make progress even when every pool
-/// thread is busy with other queries.
+/// blocks on another pool task**: worker closures only run their own
+/// partition, and the waiting happens on the submitting thread. Every
+/// queued task therefore finishes once a pool thread picks it up, so work
+/// submitted to a busy pool is delayed, never deadlocked.
 class ThreadPool {
  public:
   /// `threads` — number of worker threads (at least 1).
@@ -51,11 +51,14 @@ class ThreadPool {
 
 /// Runs `fn(worker_index)` for worker_index in [0, workers): index 0 runs
 /// inline on the calling thread, the rest are submitted to `pool`.
-/// Returns only after every invocation has completed. This is the
-/// fork/join primitive of each parallel phase; because the caller always
-/// executes one partition itself, the phase completes even on a saturated
-/// pool (the pool threads merely add parallelism, they are never required
-/// for progress).
+/// Returns only after every invocation has completed — so each submitted
+/// closure needs a pool thread, and on a saturated pool the call waits
+/// behind earlier tasks. This is the fork/join primitive of each parallel
+/// phase: the inline worker keeps claiming morsels meanwhile, so closures
+/// that start late find their input exhausted and return at once (the
+/// wait costs latency, not work). Must not be called from a pool thread:
+/// were every pool thread waiting here, none would be left to run the
+/// submitted closures.
 void RunOnWorkers(ThreadPool& pool, size_t workers,
                   const std::function<void(size_t)>& fn);
 

@@ -41,12 +41,12 @@ struct ExecOptions {
 ///
 ///   * src/exec/lowering — compiles the logical Expr tree into a
 ///     PhysicalPlan (access paths, join algorithm, build side);
-///   * src/exec/physical — batched Open/NextBatch/Close operators, the
-///     serial PlanRuntime and the morsel-parallel ParallelRuntime that
-///     instantiate plans.
+///   * src/exec/physical — batched Open/NextBatch/Close operators and the
+///     PlanRuntime that instantiates and drives plans, serially or
+///     morsel-parallel (QueryOptions::num_threads).
 ///
-/// Evaluate/EvaluateBool are depth and arity checks, then lowering, then
-/// ExecutePhysical/ExecutePhysicalBool. The operators implement the
+/// Evaluate/EvaluateBool are Lower (depth and arity checks, then
+/// lowering), then ExecutePhysical/ExecutePhysicalBool. The operators implement the
 /// paper's stance in §3.2 — unary operators and probe sides pipeline,
 /// build sides and divisions materialize, and non-emptiness tests (closed
 /// queries) pull at most one tuple and stop at the first witness.
@@ -95,8 +95,6 @@ class Executor {
   void ResetStats() { stats_ = ExecStats(); }
 
  private:
-  Status CheckDepth(const ExprPtr& expr) const;
-
   const Database* db_;
   ExecOptions options_;
   ExecStats stats_;

@@ -244,9 +244,9 @@ class Lowerer {
 };
 
 /// Post-pass annotating each node's ParallelRole — the lowering-time
-/// record of where the ParallelRuntime would place exchange (morsel
+/// record of where a parallel PlanRuntime places exchange (morsel
 /// dispensers) and merge (shared materialization) points. The walk
-/// mirrors ParallelRuntime::PrepareSpine: the spine is the streaming path
+/// mirrors PlanRuntime::PrepareSpine: the spine is the streaming path
 /// from the root through filters/projects/unions, product left inputs and
 /// join probe inputs down to the scans; everything hanging off it is
 /// computed once and shared.

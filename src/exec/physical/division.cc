@@ -5,43 +5,33 @@
 
 namespace bryql {
 
-Status BlockingResultOp::NextBatch(TupleBatch* out) {
-  out->Clear();
-  while (!out->full() && index_ < result_.rows().size()) {
-    *out->AddSlot() = result_.rows()[index_++];
-  }
-  return Status::Ok();
-}
-
 Status DivisionOp::Open() {
   BRYQL_RETURN_NOT_OK(left_->Open());
   BRYQL_RETURN_NOT_OK(right_->Open());
   const size_t p = left_arity_;
   const size_t q = right_arity_;
   TupleSet divisor;
-  BRYQL_RETURN_NOT_OK(DrainToSet(right_.get(), ctx_, &divisor));
+  BRYQL_RETURN_NOT_OK(Drain(right_.get(), ctx_, "exec.materialize.insert",
+                            DrainAdmission::kFresh,
+                            [&divisor](const Tuple& t) -> Result<bool> {
+                              return divisor.insert(t).second;
+                            }));
   std::vector<size_t> prefix_cols, suffix_cols;
   for (size_t i = 0; i < p - q; ++i) prefix_cols.push_back(i);
   for (size_t i = p - q; i < p; ++i) suffix_cols.push_back(i);
   std::unordered_map<Tuple, TupleSet, TupleHash> groups;
-  BatchCursor cursor(left_.get());
-  Tuple t;  // reused across pulls; the cursor copy-assigns into it
-  while (true) {
-    bool have = false;
-    BRYQL_RETURN_NOT_OK(cursor.Next(&t, &have, ctx_.batch_size));
-    if (!have) break;
-    if (!ctx_.governor->AdmitMaterialize()) return ctx_.governor->status();
-    Tuple prefix = t.Project(prefix_cols);
-    Tuple suffix = t.Project(suffix_cols);
-    ++ctx_.stats->hash_probes;
-    if (divisor.count(suffix)) {
-      if (groups[std::move(prefix)].insert(std::move(suffix)).second) {
-        ++ctx_.stats->tuples_materialized;
-      }
-    } else {
-      groups.try_emplace(std::move(prefix));
-    }
-  }
+  BRYQL_RETURN_NOT_OK(Drain(
+      left_.get(), ctx_, "exec.materialize.insert", DrainAdmission::kEvery,
+      [&](const Tuple& t) -> Result<bool> {
+        Tuple prefix = t.Project(prefix_cols);
+        Tuple suffix = t.Project(suffix_cols);
+        ++ctx_.stats->hash_probes;
+        if (!divisor.count(suffix)) {
+          groups.try_emplace(std::move(prefix));
+          return false;
+        }
+        return groups[std::move(prefix)].insert(std::move(suffix)).second;
+      }));
   result_ = Relation(p - q);
   for (auto& [prefix, matched] : groups) {
     if (matched.size() == divisor.size()) {
@@ -70,42 +60,26 @@ Status GroupDivisionOp::Open() {
 
   // Group the divisor: group key → set of values.
   std::unordered_map<Tuple, TupleSet, TupleHash> divisor_groups;
-  {
-    BatchCursor cursor(right_.get());
-    Tuple t;  // reused across pulls; the cursor copy-assigns into it
-    while (true) {
-      bool have = false;
-      BRYQL_RETURN_NOT_OK(cursor.Next(&t, &have, ctx_.batch_size));
-      if (!have) break;
-      if (!ctx_.governor->AdmitMaterialize()) return ctx_.governor->status();
-      if (divisor_groups[t.Project(t_group_cols)]
-              .insert(t.Project(t_value_cols))
-              .second) {
-        ++ctx_.stats->tuples_materialized;
-      }
-    }
-  }
+  BRYQL_RETURN_NOT_OK(Drain(
+      right_.get(), ctx_, "exec.materialize.insert", DrainAdmission::kEvery,
+      [&](const Tuple& t) -> Result<bool> {
+        return divisor_groups[t.Project(t_group_cols)]
+            .insert(t.Project(t_value_cols))
+            .second;
+      }));
   // Collect matched values per (keep, group) prefix of the dividend.
   std::unordered_map<Tuple, TupleSet, TupleHash> matched;
-  {
-    BatchCursor cursor(left_.get());
-    Tuple t;  // reused across pulls; the cursor copy-assigns into it
-    while (true) {
-      bool have = false;
-      BRYQL_RETURN_NOT_OK(cursor.Next(&t, &have, ctx_.batch_size));
-      if (!have) break;
-      if (!ctx_.governor->AdmitMaterialize()) return ctx_.governor->status();
-      Tuple group = t.Project(d_group_cols);
-      ++ctx_.stats->hash_probes;
-      auto git = divisor_groups.find(group);
-      if (git == divisor_groups.end()) continue;
-      Tuple value = t.Project(d_value_cols);
-      if (!git->second.count(value)) continue;
-      if (matched[t.Project(d_prefix_cols)].insert(std::move(value)).second) {
-        ++ctx_.stats->tuples_materialized;
-      }
-    }
-  }
+  BRYQL_RETURN_NOT_OK(Drain(
+      left_.get(), ctx_, "exec.materialize.insert", DrainAdmission::kEvery,
+      [&](const Tuple& t) -> Result<bool> {
+        ++ctx_.stats->hash_probes;
+        auto git = divisor_groups.find(t.Project(d_group_cols));
+        if (git == divisor_groups.end()) return false;
+        Tuple value = t.Project(d_value_cols);
+        if (!git->second.count(value)) return false;
+        return matched[t.Project(d_prefix_cols)].insert(std::move(value))
+            .second;
+      }));
   result_ = Relation(keep_arity + g);
   for (auto& [prefix, values] : matched) {
     // The group is the suffix of the prefix tuple.
@@ -127,16 +101,12 @@ Status GroupCountOp::Open() {
   std::vector<size_t> group_cols;
   for (size_t i = 0; i < g; ++i) group_cols.push_back(i);
   std::unordered_map<Tuple, int64_t, TupleHash> counts;
-  BatchCursor cursor(child_.get());
-  Tuple t;  // reused across pulls; the cursor copy-assigns into it
-  while (true) {
-    bool have = false;
-    BRYQL_RETURN_NOT_OK(cursor.Next(&t, &have, ctx_.batch_size));
-    if (!have) break;
-    if (!ctx_.governor->AdmitMaterialize()) return ctx_.governor->status();
-    ++counts[t.Project(group_cols)];
-    ++ctx_.stats->tuples_materialized;
-  }
+  BRYQL_RETURN_NOT_OK(Drain(child_.get(), ctx_, "exec.materialize.insert",
+                            DrainAdmission::kEvery,
+                            [&](const Tuple& t) -> Result<bool> {
+                              ++counts[t.Project(group_cols)];
+                              return true;
+                            }));
   result_ = Relation(g + 1);
   for (auto& [group, count] : counts) {
     Tuple row = group;

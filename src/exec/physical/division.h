@@ -8,22 +8,6 @@
 
 namespace bryql {
 
-/// Streams a blocking operator's precomputed result relation. Division,
-/// per-group division and group-count all fully compute at Open and share
-/// this output path.
-class BlockingResultOp : public PhysicalOperator {
- public:
-  Status NextBatch(TupleBatch* out) final;
-  void Close() override {}
-
- protected:
-  BlockingResultOp() : result_(0) {}
-  Relation result_;
-
- private:
-  size_t index_ = 0;
-};
-
 /// dividend ÷ divisor (the paper's one-shot division strategy): tuples
 /// over the first p−q columns paired in the dividend with *every* divisor
 /// tuple. An empty divisor divides trivially — the result is the

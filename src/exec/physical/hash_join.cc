@@ -8,7 +8,7 @@ Status ProductOp::Open() {
   BRYQL_RETURN_NOT_OK(left_->Open());
   if (right_op_ == nullptr) return Status::Ok();  // borrowed, pre-drained
   BRYQL_RETURN_NOT_OK(right_op_->Open());
-  return DrainToRelation(right_op_.get(), right_.arity(), ctx_, &right_);
+  return DrainToRelation(right_op_.get(), ctx_, &right_);
 }
 
 Status ProductOp::NextBatch(TupleBatch* out) {
@@ -63,13 +63,19 @@ Status HashJoinOp::Open() {
   switch (variant_) {
     case JoinVariant::kInner:
     case JoinVariant::kLeftOuter:
-      return DrainToTable(build, keys_, /*keys_left=*/build_left_, ctx_,
-                          &table_);
+      return Drain(build, ctx_, "exec.hash.insert", DrainAdmission::kEvery,
+                   [this](const Tuple& t) -> Result<bool> {
+                     table_[JoinKeyOf(t, keys_, build_left_)].push_back(t);
+                     return true;
+                   });
     case JoinVariant::kSemi:
     case JoinVariant::kAnti:
     case JoinVariant::kMark:
-      return DrainToKeySet(build, keys_, /*keys_left=*/build_left_, ctx_,
-                           &key_set_);
+      return Drain(build, ctx_, "exec.hash.insert", DrainAdmission::kFresh,
+                   [this](const Tuple& t) -> Result<bool> {
+                     return key_set_.insert(JoinKeyOf(t, keys_, build_left_))
+                         .second;
+                   });
   }
   return Status::Internal("unknown join variant");
 }

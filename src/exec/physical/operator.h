@@ -8,6 +8,7 @@
 
 #include "algebra/expr.h"  // JoinKey
 #include "common/batch.h"
+#include "common/failpoints.h"
 #include "common/governor.h"
 #include "common/result.h"
 #include "exec/stats.h"
@@ -113,33 +114,81 @@ class BatchCursor {
   size_t pos_ = 0;
 };
 
-/// Drain helpers used by blocking edges of a plan (hash builds, sort
-/// inputs, division inputs). Each admits every drained tuple in input
-/// order, so runs at any batch size reach the same budget verdict.
+/// Streams a blocking operator's result relation, computed in full at
+/// Open: sort-merge joins, divisions, per-group divisions and group
+/// counts share this output path.
+class BlockingResultOp : public PhysicalOperator {
+ public:
+  Status NextBatch(TupleBatch* out) final {
+    out->Clear();
+    while (!out->full() && index_ < result_.rows().size()) {
+      *out->AddSlot() = result_.rows()[index_++];
+    }
+    return Status::Ok();
+  }
 
-/// Fully drains `child` into a relation: every tuple is admitted as a
-/// materialization, fresh insertions are counted ("exec.materialize.insert"
-/// failpoint).
-Status DrainToRelation(PhysicalOperator* child, size_t arity,
-                       const PhysicalContext& ctx, Relation* out);
+ protected:
+  BlockingResultOp() : result_(0) {}
+  Relation result_;
 
-/// Drains `child` into a hash multimap keyed on the right-side join key.
-/// Every tuple is admitted and counted ("exec.hash.insert" failpoint) —
-/// a hash build keeps duplicates as partner values.
-Status DrainToTable(PhysicalOperator* child, const std::vector<JoinKey>& keys,
-                    bool keys_left, const PhysicalContext& ctx,
-                    TupleMultiMap* out);
+ private:
+  size_t index_ = 0;
+};
 
-/// Drains `child` into a set of join keys: fresh keys are admitted and
-/// counted, duplicates only tick ("exec.hash.insert" failpoint).
-Status DrainToKeySet(PhysicalOperator* child, const std::vector<JoinKey>& keys,
-                     bool keys_left, const PhysicalContext& ctx,
-                     TupleSet* out);
+/// How a drain admits what it inserts. Both modes admit per tuple, in
+/// input order, so runs at any batch size reach the same budget verdict.
+enum class DrainAdmission {
+  /// Admit every tuple before inserting it, count fresh insertions
+  /// (relations, hash tables, division inputs, the final merge).
+  kEvery,
+  /// Admit and count fresh insertions only; duplicates tick (key sets,
+  /// divisors).
+  kFresh,
+};
 
-/// Drains `child` into a set of whole tuples: fresh tuples are admitted
-/// and counted, duplicates only tick ("exec.materialize.insert" failpoint).
-Status DrainToSet(PhysicalOperator* child, const PhysicalContext& ctx,
-                  TupleSet* out);
+/// The one drain loop of every blocking edge: hash builds (serial and
+/// parallel shared), division, group-count, product and sort-merge
+/// inputs, and the parallel final merge. Pulls `child` to exhaustion,
+/// calling `insert(tuple)` → Result<bool> (fresh, or an error that aborts
+/// the drain); `failpoint` fires per tuple. Returns the governor's status
+/// at exhaustion, so a trip latched anywhere below surfaces here.
+template <typename Insert>
+Status Drain(PhysicalOperator* child, const PhysicalContext& ctx,
+             [[maybe_unused]] const char* failpoint,
+             DrainAdmission admission, Insert&& insert) {
+  TupleBatch batch(ctx.batch_size);
+  while (true) {
+    BRYQL_RETURN_NOT_OK(child->NextBatch(&batch));
+    if (batch.empty()) break;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      BRYQL_FAILPOINT(failpoint);
+      if (admission == DrainAdmission::kEvery &&
+          !ctx.governor->AdmitMaterialize()) {
+        return ctx.governor->status();
+      }
+      BRYQL_ASSIGN_OR_RETURN(bool fresh, insert(batch[i]));
+      if (fresh) {
+        if (admission == DrainAdmission::kFresh &&
+            !ctx.governor->AdmitMaterialize()) {
+          return ctx.governor->status();
+        }
+        ++ctx.stats->tuples_materialized;
+      } else if (admission == DrainAdmission::kFresh &&
+                 !ctx.governor->Tick()) {
+        return ctx.governor->status();
+      }
+    }
+  }
+  return ctx.governor->status();
+}
+
+/// Fully drains `child` into `out`: every tuple is admitted, fresh ones
+/// are counted ("exec.materialize.insert").
+inline Status DrainToRelation(PhysicalOperator* child,
+                              const PhysicalContext& ctx, Relation* out) {
+  return Drain(child, ctx, "exec.materialize.insert", DrainAdmission::kEvery,
+               [out](const Tuple& t) { return out->Insert(t); });
+}
 
 }  // namespace bryql
 

@@ -3,19 +3,13 @@
 
 #include <array>
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "algebra/physical_plan.h"
-#include "common/governor.h"
-#include "common/result.h"
 #include "exec/physical/operator.h"
-#include "exec/stats.h"
-#include "storage/database.h"
 #include "storage/relation.h"
 
 namespace bryql {
@@ -25,6 +19,11 @@ namespace bryql {
 /// skewed partitions rebalance (a worker that finishes early claims more),
 /// large enough that the claim atomic is touched ~once per thousand rows.
 inline constexpr size_t kMorselSize = 1024;
+
+/// Upper bound on partitions per query: each worker instantiates its own
+/// operator tree, so an adversarial num_threads must not translate into
+/// unbounded allocation. Far above any useful degree on real hardware.
+inline constexpr size_t kMaxWorkers = 64;
 
 /// An atomic dispenser of row ranges over one scan input. Workers claim
 /// [begin, end) morsels until the input is exhausted; collectively the
@@ -50,6 +49,14 @@ class MorselSource {
   size_t size_;
 };
 
+/// The 64-way sharding of ShardedTupleSet and SharedJoinBuild.
+/// unordered_set consumes a hash's low bits; the shard takes mixed high
+/// bits so the shard choice is independent of the within-shard bucket.
+inline constexpr size_t kShards = 64;
+inline size_t ShardOf(const Tuple& t) {
+  return (TupleHash{}(t) * 0x9e3779b97f4a7c15ULL) >> 58;
+}
+
 /// A globally shared dedup set, sharded 64 ways by tuple hash so
 /// concurrent inserts from different workers rarely contend. Sharing the
 /// set (instead of deduping per worker) is what keeps parallel
@@ -60,7 +67,7 @@ class ShardedTupleSet {
  public:
   /// True when `t` was fresh (this call inserted it).
   bool Insert(const Tuple& t) {
-    Shard& shard = shards_[ShardOf(TupleHash{}(t))];
+    Shard& shard = shards_[ShardOf(t)];
     std::lock_guard<std::mutex> lock(shard.mutex);
     return shard.set.insert(t).second;
   }
@@ -75,12 +82,6 @@ class ShardedTupleSet {
   }
 
  private:
-  static constexpr size_t kShards = 64;
-  static size_t ShardOf(size_t hash) {
-    // unordered_set consumes the low bits; take mixed high bits so the
-    // shard choice is independent of the within-shard bucket choice.
-    return (hash * 0x9e3779b97f4a7c15ULL) >> 58;
-  }
   struct Shard {
     mutable std::mutex mutex;
     TupleSet set;
@@ -96,44 +97,35 @@ class ShardedTupleSet {
 /// provide the happens-before).
 class SharedJoinBuild {
  public:
-  explicit SharedJoinBuild(bool table_mode) : table_mode_(table_mode) {}
-
-  bool table_mode() const { return table_mode_; }
-
   /// Build phase (locked). InsertKey returns whether the key was fresh.
   void InsertTable(const Tuple& key, const Tuple& value) {
-    Shard& shard = shards_[ShardOf(TupleHash{}(key))];
+    Shard& shard = shards_[ShardOf(key)];
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.table[key].push_back(value);
   }
   bool InsertKey(const Tuple& key) {
-    Shard& shard = shards_[ShardOf(TupleHash{}(key))];
+    Shard& shard = shards_[ShardOf(key)];
     std::lock_guard<std::mutex> lock(shard.mutex);
     return shard.keys.insert(key).second;
   }
 
   /// Probe phase (lock-free; only valid after the build phase barrier).
   const std::vector<Tuple>* Find(const Tuple& key) const {
-    const Shard& shard = shards_[ShardOf(TupleHash{}(key))];
+    const Shard& shard = shards_[ShardOf(key)];
     auto it = shard.table.find(key);
     return it == shard.table.end() ? nullptr : &it->second;
   }
   bool Contains(const Tuple& key) const {
-    const Shard& shard = shards_[ShardOf(TupleHash{}(key))];
+    const Shard& shard = shards_[ShardOf(key)];
     return shard.keys.count(key) != 0;
   }
 
  private:
-  static constexpr size_t kShards = 64;
-  static size_t ShardOf(size_t hash) {
-    return (hash * 0x9e3779b97f4a7c15ULL) >> 58;
-  }
   struct Shard {
     std::mutex mutex;
-    TupleMultiMap table;  // table_mode
-    TupleSet keys;        // !table_mode
+    TupleMultiMap table;  // kInner, kLeftOuter
+    TupleSet keys;        // kSemi, kAnti, kMark
   };
-  bool table_mode_;
   std::array<Shard, kShards> shards_;
 };
 
@@ -144,8 +136,8 @@ class SharedJoinBuild {
 ///
 /// PlanRuntime::Build consults this registry (via PhysicalContext::shared)
 /// when instantiating a worker's operator tree:
-///   * a node in `relations` becomes a borrowed-relation scan (its morsel
-///     source, when present, partitions the materialized rows);
+///   * a node in `relations` becomes a RelationScanOp over the borrowed
+///     rows (its morsel source, when present, partitions them);
 ///   * a scan node in `morsels` reads from the shared dispenser instead
 ///     of scanning [0, n) privately;
 ///   * a join node in `builds` skips its build side entirely and probes
@@ -153,105 +145,33 @@ class SharedJoinBuild {
 ///   * a project/union node in `seen_sets` dedups against the global
 ///     sharded set instead of a private one.
 struct ParallelShared {
-  std::unordered_map<const PhysicalNode*, std::unique_ptr<MorselSource>>
-      morsels;
-  std::unordered_map<const PhysicalNode*, std::unique_ptr<Relation>>
-      relations;
-  std::unordered_map<const PhysicalNode*, std::unique_ptr<SharedJoinBuild>>
-      builds;
-  std::unordered_map<const PhysicalNode*, std::unique_ptr<ShardedTupleSet>>
-      seen_sets;
+  template <typename T>
+  using ByNode = std::unordered_map<const PhysicalNode*, std::unique_ptr<T>>;
+
+  ByNode<MorselSource> morsels;
+  ByNode<Relation> relations;
+  ByNode<SharedJoinBuild> builds;
+  ByNode<ShardedTupleSet> seen_sets;
 
   MorselSource* FindMorsels(const PhysicalNode* node) const {
-    auto it = morsels.find(node);
-    return it == morsels.end() ? nullptr : it->second.get();
+    return Find(morsels, node);
   }
   const Relation* FindRelation(const PhysicalNode* node) const {
-    auto it = relations.find(node);
-    return it == relations.end() ? nullptr : it->second.get();
+    return Find(relations, node);
   }
   const SharedJoinBuild* FindBuild(const PhysicalNode* node) const {
-    auto it = builds.find(node);
-    return it == builds.end() ? nullptr : it->second.get();
+    return Find(builds, node);
   }
   ShardedTupleSet* FindSeen(const PhysicalNode* node) const {
-    auto it = seen_sets.find(node);
-    return it == seen_sets.end() ? nullptr : it->second.get();
+    return Find(seen_sets, node);
   }
-};
-
-/// Morsel-driven parallel plan execution (the num_threads > 0 path).
-///
-/// The runtime walks the plan's *spine* — the streaming path from the
-/// root through filters, projects, unions, product left inputs and join
-/// probe inputs down to the scans — and replicates it once per worker.
-/// Everything hanging off the spine is shared, computed exactly once:
-/// join build sides are drained (themselves in parallel) into a
-/// SharedJoinBuild, product right sides and blocking operators
-/// (sort-merge join, divisions, group count) are materialized by the
-/// coordinator, and boolean subtrees evaluate through the same
-/// first-witness machinery. Spine scans draw morsels from shared
-/// dispensers, dedup operators share sharded seen-sets, and the final
-/// merge dedups worker outputs through one more sharded set — order-
-/// insensitive, which is sound because relations are sets.
-///
-/// Budget/status parity with serial execution is a design invariant, not
-/// an accident: morsels cover each input row exactly once, shared builds
-/// and seen-sets admit each materialization exactly once, and per-worker
-/// governor shards reconcile real counts (never estimates) into the
-/// phase's SharedBudget — so a budget that trips serially trips in
-/// parallel and vice versa, with the same status code. The exception is
-/// the first-witness non-emptiness test under a *finite tuple budget*,
-/// where "witness found" vs. "budget tripped" is a race by nature; that
-/// combination falls back to serial so closed queries stay deterministic.
-class ParallelRuntime {
- public:
-  /// `num_threads` ≥ 1; the Executor maps num_threads == 0 to the serial
-  /// PlanRuntime before ever constructing one of these.
-  ParallelRuntime(const Database* db, size_t batch_size, ExecStats* stats,
-                  ResourceGovernor* governor, size_t num_threads);
-
-  /// Materializes the plan's full answer, partition-parallel.
-  Result<Relation> Run(const PhysicalPlanPtr& plan);
-
-  /// Boolean evaluation with the paper's short-circuits: composites
-  /// evaluate sequentially (their children each parallel), non-emptiness
-  /// races all workers to the first witness and stops the losers through
-  /// the phase's stop flag.
-  Result<bool> RunBool(const PhysicalPlanPtr& plan);
 
  private:
-  /// One fork/join phase: every worker instantiates `spine_root` against
-  /// the shared registry and runs `consume(worker, op, ctx, budget)`.
-  /// Worker stats and the phase's SharedBudget are absorbed into the
-  /// run's stats/governor before returning.
-  Status RunPhase(
-      const PhysicalPlanPtr& spine_root,
-      const std::function<Status(size_t, PhysicalOperator*, PhysicalContext&,
-                                 SharedBudget*)>& consume);
-
-  /// Recursively prepares the spine under `node`: morsel sources for
-  /// scans, parallel drains for join builds, coordinator materialization
-  /// for blocking/boolean/product-right subtrees, shared seen-sets for
-  /// dedup operators.
-  Status PrepareSpine(const PhysicalPlanPtr& node);
-
-  /// Drains `node`'s build side (in parallel) into a SharedJoinBuild.
-  Status BuildJoinShared(const PhysicalPlanPtr& node);
-
-  /// Runs `node`'s subtree serially on the coordinator. `counted` drains
-  /// with per-tuple materialize admissions (the serial semantics of a
-  /// product's right side); uncounted matches blocking operators, whose
-  /// outputs serial execution streams without admissions.
-  Result<Relation> MaterializeSerial(const PhysicalPlanPtr& node,
-                                     bool counted);
-
-  const Database* db_;
-  size_t batch_size_;
-  ExecStats* stats_;
-  ResourceGovernor* governor_;
-  size_t workers_;
-  ParallelShared shared_;
+  template <typename T>
+  static T* Find(const ByNode<T>& map, const PhysicalNode* node) {
+    auto it = map.find(node);
+    return it == map.end() ? nullptr : it->second.get();
+  }
 };
 
 }  // namespace bryql

@@ -1,5 +1,6 @@
 #include "exec/physical/runtime.h"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <new>
@@ -101,7 +102,31 @@ class TimedOp : public PhysicalOperator {
   ResourceGovernor* governor_;
 };
 
+bool IsBoolean(PhysicalKind kind) {
+  return kind == PhysicalKind::kNonEmpty || kind == PhysicalKind::kBoolNot ||
+         kind == PhysicalKind::kBoolAnd || kind == PhysicalKind::kBoolOr;
+}
+
+/// The witness-vs-budget race (see PlanRuntime): under a finite tuple
+/// budget the serial engine deterministically either finds the witness or
+/// trips, depending on scan order; racing workers would make that verdict
+/// scheduling-dependent.
+bool HasFiniteTupleBudget(const QueryOptions& options) {
+  return options.max_scanned_tuples != 0 ||
+         options.max_materialized_tuples != 0;
+}
+
 }  // namespace
+
+PlanRuntime::PlanRuntime(const Database* db, size_t batch_size,
+                         ExecStats* stats, ResourceGovernor* governor,
+                         size_t workers, const ParallelShared* shared)
+    : ctx_{db, stats, governor, batch_size == 0 ? 1 : batch_size, shared},
+      workers_(std::min(workers, kMaxWorkers)),
+      registry_(workers_ > 1 ? std::make_unique<ParallelShared>() : nullptr) {
+}
+
+PlanRuntime::~PlanRuntime() = default;
 
 Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
                                          size_t depth) {
@@ -124,7 +149,7 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
   // exactly like the serial BlockingResultOp streaming it would be.
   if (ctx_.shared != nullptr) {
     if (const Relation* rel = ctx_.shared->FindRelation(node.get())) {
-      op = PhysicalOpPtr(new BorrowedRelationScanOp(
+      op = PhysicalOpPtr(new RelationScanOp(
           &rel->rows(), ctx_.shared->FindMorsels(node.get())));
       return PhysicalOpPtr(new TimedOp(std::move(op), node->Label(),
                                        ctx_.stats, op_index, ctx_.governor));
@@ -135,6 +160,17 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
   // between both modes unchanged.
   MorselSource* morsels =
       ctx_.shared == nullptr ? nullptr : ctx_.shared->FindMorsels(node.get());
+  // Children instantiate left to right, so the whole tree is root-first.
+  auto input = [&](size_t i) { return Build(node->children[i], depth + 1); };
+  // A stale plan — cached across a catalog change that dropped the index
+  // or column store it was lowered against — recovers on the row path: a
+  // full scan under the node's whole selection.
+  auto row_path = [&](const Relation* rel, PredicatePtr selection) {
+    PhysicalOpPtr scan(new TableScanOp(&rel->rows(), ctx_, morsels));
+    if (selection == nullptr) return scan;
+    return PhysicalOpPtr(
+        new FilterOp(std::move(scan), std::move(selection), ctx_));
+  };
   switch (node->kind) {
     case PhysicalKind::kTableScan: {
       BRYQL_FAILPOINT("exec.scan.open");
@@ -152,18 +188,11 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
       BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
                              ctx_.db->Get(node->relation_name));
       if (!rel->HasIndex(node->index_column)) {
-        // The index the plan was lowered against no longer exists (the
-        // plan is stale, e.g. cached across a catalog change). Recover by
-        // re-applying the full selection over a table scan.
-        std::vector<PredicatePtr> parts;
-        parts.push_back(Predicate::ColVal(CompareOp::kEq, node->index_column,
-                                          node->index_value));
-        if (node->predicate != nullptr) parts.push_back(node->predicate);
-        PredicatePtr full = parts.size() == 1 ? std::move(parts[0])
-                                              : Predicate::And(std::move(parts));
-        PhysicalOpPtr scan(new TableScanOp(&rel->rows(), ctx_, morsels));
-        op = PhysicalOpPtr(
-            new FilterOp(std::move(scan), std::move(full), ctx_));
+        PredicatePtr eq = Predicate::ColVal(CompareOp::kEq, node->index_column,
+                                            node->index_value);
+        op = row_path(rel, node->predicate == nullptr
+                               ? eq
+                               : Predicate::And({eq, node->predicate}));
         break;
       }
       ++ctx_.stats->hash_probes;
@@ -177,14 +206,7 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
       BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
                              ctx_.db->Get(node->relation_name));
       if (rel->column_store() == nullptr) {
-        // The column store the plan was lowered against no longer exists
-        // (stale cached plan, or the relation was replaced). Recover on
-        // the row path: full scan plus the pushed-down predicate.
-        PhysicalOpPtr scan(new TableScanOp(&rel->rows(), ctx_, morsels));
-        op = node->predicate == nullptr
-                 ? std::move(scan)
-                 : PhysicalOpPtr(
-                       new FilterOp(std::move(scan), node->predicate, ctx_));
+        op = row_path(rel, node->predicate);
         break;
       }
       op = PhysicalOpPtr(new ColumnarScanOp(rel->column_store(),
@@ -192,15 +214,13 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
       break;
     }
     case PhysicalKind::kFilter: {
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr child,
-                             Build(node->children[0], depth + 1));
+      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr child, input(0));
       op = PhysicalOpPtr(
           new FilterOp(std::move(child), node->predicate, ctx_));
       break;
     }
     case PhysicalKind::kProject: {
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr child,
-                             Build(node->children[0], depth + 1));
+      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr child, input(0));
       ShardedTupleSet* seen =
           ctx_.shared == nullptr ? nullptr : ctx_.shared->FindSeen(node.get());
       op = PhysicalOpPtr(
@@ -208,8 +228,7 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
       break;
     }
     case PhysicalKind::kProduct: {
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr left,
-                             Build(node->children[0], depth + 1));
+      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr left, input(0));
       // Parallel workers: the coordinator drained the right side once
       // (with the serial per-tuple admissions) and registered it; every
       // worker's product borrows those rows instead of re-draining —
@@ -221,8 +240,7 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
           break;
         }
       }
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr right,
-                             Build(node->children[1], depth + 1));
+      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr right, input(1));
       op = PhysicalOpPtr(new ProductOp(std::move(left), std::move(right),
                                        node->children[1]->arity, ctx_));
       break;
@@ -233,32 +251,21 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
       // build-side slot stays null.
       const SharedJoinBuild* shared_build =
           ctx_.shared == nullptr ? nullptr : ctx_.shared->FindBuild(node.get());
-      if (shared_build != nullptr) {
-        const size_t probe_index = node->build_left ? 1 : 0;
-        BRYQL_ASSIGN_OR_RETURN(
-            PhysicalOpPtr probe, Build(node->children[probe_index], depth + 1));
-        PhysicalOpPtr left = probe_index == 0 ? std::move(probe) : nullptr;
-        PhysicalOpPtr right = probe_index == 1 ? std::move(probe) : nullptr;
-        op = PhysicalOpPtr(new HashJoinOp(
-            std::move(left), std::move(right), node->keys, node->variant,
-            node->predicate, node->build_left, node->pad_arity, ctx_,
-            shared_build));
-        break;
+      const size_t build_index = node->build_left ? 0 : 1;
+      PhysicalOpPtr inputs[2];
+      for (size_t i = 0; i < 2; ++i) {
+        if (shared_build != nullptr && i == build_index) continue;
+        BRYQL_ASSIGN_OR_RETURN(inputs[i], input(i));
       }
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr left,
-                             Build(node->children[0], depth + 1));
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr right,
-                             Build(node->children[1], depth + 1));
       op = PhysicalOpPtr(new HashJoinOp(
-          std::move(left), std::move(right), node->keys, node->variant,
-          node->predicate, node->build_left, node->pad_arity, ctx_));
+          std::move(inputs[0]), std::move(inputs[1]), node->keys,
+          node->variant, node->predicate, node->build_left, node->pad_arity,
+          ctx_, shared_build));
       break;
     }
     case PhysicalKind::kSortMergeJoin: {
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr left,
-                             Build(node->children[0], depth + 1));
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr right,
-                             Build(node->children[1], depth + 1));
+      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr left, input(0));
+      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr right, input(1));
       op = PhysicalOpPtr(new SortMergeJoinOp(
           std::move(left), std::move(right), node->children[0]->arity,
           node->children[1]->arity, node->keys, node->variant,
@@ -266,37 +273,30 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
       break;
     }
     case PhysicalKind::kDivision: {
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr left,
-                             Build(node->children[0], depth + 1));
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr right,
-                             Build(node->children[1], depth + 1));
+      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr left, input(0));
+      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr right, input(1));
       op = PhysicalOpPtr(new DivisionOp(std::move(left), std::move(right),
                                         node->children[0]->arity,
                                         node->children[1]->arity, ctx_));
       break;
     }
     case PhysicalKind::kGroupDivision: {
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr left,
-                             Build(node->children[0], depth + 1));
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr right,
-                             Build(node->children[1], depth + 1));
+      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr left, input(0));
+      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr right, input(1));
       op = PhysicalOpPtr(new GroupDivisionOp(
           std::move(left), std::move(right), node->children[0]->arity,
           node->children[1]->arity, node->group_arity, ctx_));
       break;
     }
     case PhysicalKind::kGroupCount: {
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr child,
-                             Build(node->children[0], depth + 1));
+      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr child, input(0));
       op = PhysicalOpPtr(
           new GroupCountOp(std::move(child), node->group_arity, ctx_));
       break;
     }
     case PhysicalKind::kUnion: {
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr left,
-                             Build(node->children[0], depth + 1));
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr right,
-                             Build(node->children[1], depth + 1));
+      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr left, input(0));
+      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr right, input(1));
       ShardedTupleSet* seen =
           ctx_.shared == nullptr ? nullptr : ctx_.shared->FindSeen(node.get());
       op = PhysicalOpPtr(
@@ -309,12 +309,8 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
     case PhysicalKind::kBoolOr: {
       // A boolean subtree in relational context evaluates to the 0-ary
       // relation {()} (true) or {} (false).
-      BRYQL_ASSIGN_OR_RETURN(bool value, RunBool(node));
-      Relation rel(0);
-      if (value) {
-        BRYQL_RETURN_NOT_OK(rel.Insert(Tuple{}).status());
-      }
-      op = PhysicalOpPtr(new RelationSourceOp(std::move(rel)));
+      BRYQL_ASSIGN_OR_RETURN(Relation rel, RunTruth(node));
+      op = PhysicalOpPtr(new RelationScanOp(std::move(rel)));
       break;
     }
   }
@@ -324,12 +320,40 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
 }
 
 Result<Relation> PlanRuntime::Run(const PhysicalPlanPtr& plan) {
-  BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr op, Build(plan, 0));
+  if (IsBoolean(plan->kind)) return RunTruth(plan);
+  if (workers_ > 1) return RunParallel(plan);
+  return Materialize(plan, /*admitted=*/true);
+}
+
+Result<Relation> PlanRuntime::RunTruth(const PhysicalPlanPtr& plan) {
+  BRYQL_ASSIGN_OR_RETURN(bool value, RunBool(plan));
+  Relation rel(0);
+  if (value) {
+    BRYQL_RETURN_NOT_OK(rel.Insert(Tuple{}).status());
+  }
+  return rel;
+}
+
+Result<Relation> PlanRuntime::Materialize(const PhysicalPlanPtr& node,
+                                          bool admitted) {
+  BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr op, Build(node, 0));
   BRYQL_RETURN_NOT_OK(op->Open());
-  Relation rel(plan->arity);
-  Status drained = DrainToRelation(op.get(), plan->arity, ctx_, &rel);
+  Relation rel(node->arity);
+  Status status;
+  if (admitted) {
+    status = DrainToRelation(op.get(), ctx_, &rel);
+  } else {
+    TupleBatch batch(ctx_.batch_size);
+    while (status.ok()) {
+      status = op->NextBatch(&batch);
+      if (!status.ok() || batch.empty()) break;
+      for (size_t i = 0; i < batch.size() && status.ok(); ++i) {
+        status = rel.Insert(batch[i]).status();
+      }
+    }
+  }
   op->Close();
-  BRYQL_RETURN_NOT_OK(drained);
+  BRYQL_RETURN_NOT_OK(status);
   // A fault contained during Close (exception barrier) latches the
   // governor rather than interrupting the drain; don't report a clean
   // answer over it.
@@ -337,21 +361,30 @@ Result<Relation> PlanRuntime::Run(const PhysicalPlanPtr& plan) {
   return rel;
 }
 
+Result<bool> PlanRuntime::NonEmpty(const PhysicalPlanPtr& child) {
+  if (workers_ > 1) {
+    if (!HasFiniteTupleBudget(ctx_.governor->options())) {
+      return WitnessRace(child);
+    }
+    // Racing workers against a finite budget would make witness-vs-trip
+    // scheduling-dependent; the serial pull decides it deterministically.
+    return Serial().NonEmpty(child);
+  }
+  BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr op, Build(child, 0));
+  BRYQL_RETURN_NOT_OK(op->Open());
+  TupleBatch batch(1);
+  Status status = op->NextBatch(&batch);
+  op->Close();
+  BRYQL_RETURN_NOT_OK(status);
+  // A tripped governor must not masquerade as "empty".
+  BRYQL_RETURN_NOT_OK(ctx_.governor->status());
+  return !batch.empty();
+}
+
 Result<bool> PlanRuntime::RunBool(const PhysicalPlanPtr& plan) {
   switch (plan->kind) {
-    case PhysicalKind::kNonEmpty: {
-      // The paper's non-emptiness test: pull a single witness.
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr op,
-                             Build(plan->children[0], 0));
-      BRYQL_RETURN_NOT_OK(op->Open());
-      TupleBatch batch(1);
-      Status status = op->NextBatch(&batch);
-      op->Close();
-      BRYQL_RETURN_NOT_OK(status);
-      // A tripped governor must not masquerade as "empty".
-      BRYQL_RETURN_NOT_OK(ctx_.governor->status());
-      return !batch.empty();
-    }
+    case PhysicalKind::kNonEmpty:
+      return NonEmpty(plan->children[0]);
     case PhysicalKind::kBoolNot: {
       BRYQL_ASSIGN_OR_RETURN(bool v, RunBool(plan->children[0]));
       return !v;

@@ -45,15 +45,7 @@ Status IndexScanOp::NextBatch(TupleBatch* out) {
   return Status::Ok();
 }
 
-Status RelationSourceOp::NextBatch(TupleBatch* out) {
-  out->Clear();
-  while (!out->full() && index_ < rel_.rows().size()) {
-    *out->AddSlot() = rel_.rows()[index_++];
-  }
-  return Status::Ok();
-}
-
-Status BorrowedRelationScanOp::NextBatch(TupleBatch* out) {
+Status RelationScanOp::NextBatch(TupleBatch* out) {
   out->Clear();
   while (!out->full()) {
     if (index_ >= limit_) {

@@ -61,35 +61,25 @@ class IndexScanOp : public PhysicalOperator {
   size_t limit_;
 };
 
-/// Streams an owned relation (sort-merge results, division results,
-/// boolean sub-evaluations). Reads from intermediates are not counted as
-/// base-table scans: `tuples_scanned` counts base-relation reads only.
-class RelationSourceOp : public PhysicalOperator {
+/// Streams an intermediate relation: a boolean sub-evaluation's {()}/{}
+/// it owns, or — in parallel workers — rows the coordinator materialized
+/// once and registered in ParallelShared, partitioned across the workers
+/// by a MorselSource. Reads are not admissions: `tuples_scanned` counts
+/// base-relation reads only, and serial execution streams the same
+/// intermediates without counting.
+class RelationScanOp : public PhysicalOperator {
  public:
-  explicit RelationSourceOp(Relation rel) : rel_(std::move(rel)) {}
-  Status Open() override { return Status::Ok(); }
-  Status NextBatch(TupleBatch* out) override;
-
- private:
-  Relation rel_;
-  size_t index_ = 0;
-};
-
-/// Streams rows owned by someone else — in parallel workers, a relation
-/// the coordinator materialized once and registered in ParallelShared.
-/// Like RelationSourceOp, reads are not admissions (serial execution
-/// streams the same intermediate without counting); a MorselSource
-/// partitions the rows across the workers sharing them.
-class BorrowedRelationScanOp : public PhysicalOperator {
- public:
-  explicit BorrowedRelationScanOp(const std::vector<Tuple>* rows,
-                                  MorselSource* morsels = nullptr)
-      : rows_(rows), morsels_(morsels),
+  explicit RelationScanOp(Relation rel)
+      : owned_(std::move(rel)), rows_(&owned_.rows()), morsels_(nullptr),
+        limit_(rows_->size()) {}
+  RelationScanOp(const std::vector<Tuple>* rows, MorselSource* morsels)
+      : owned_(0), rows_(rows), morsels_(morsels),
         limit_(morsels == nullptr ? rows->size() : 0) {}
   Status Open() override { return Status::Ok(); }
   Status NextBatch(TupleBatch* out) override;
 
  private:
+  Relation owned_;  // empty when borrowing
   const std::vector<Tuple>* rows_;
   MorselSource* morsels_;
   size_t index_ = 0;

@@ -14,7 +14,7 @@ namespace bryql {
 /// The sort-merge counterpart of HashJoinOp: both inputs are materialized
 /// at Open (they must be sorted in full before merging), joined with the
 /// shared SortMergeJoin kernel, and the result streams out in batches.
-class SortMergeJoinOp : public PhysicalOperator {
+class SortMergeJoinOp : public BlockingResultOp {
  public:
   SortMergeJoinOp(PhysicalOpPtr left, PhysicalOpPtr right,
                   size_t left_arity, size_t right_arity,
@@ -23,9 +23,8 @@ class SortMergeJoinOp : public PhysicalOperator {
       : left_(std::move(left)), right_(std::move(right)),
         left_arity_(left_arity), right_arity_(right_arity),
         keys_(std::move(keys)), variant_(variant),
-        predicate_(std::move(predicate)), ctx_(ctx), result_(0) {}
+        predicate_(std::move(predicate)), ctx_(ctx) {}
   Status Open() override;
-  Status NextBatch(TupleBatch* out) override;
   void Close() override {
     left_->Close();
     right_->Close();
@@ -40,8 +39,6 @@ class SortMergeJoinOp : public PhysicalOperator {
   JoinVariant variant_;
   PredicatePtr predicate_;
   PhysicalContext ctx_;
-  Relation result_;
-  size_t index_ = 0;
 };
 
 }  // namespace bryql

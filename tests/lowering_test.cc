@@ -205,6 +205,79 @@ TEST(LoweringTest, ExecutorLowerHonoursPlanDepthLimit) {
   EXPECT_EQ(plan.status().code(), StatusCode::kResourceExhausted);
 }
 
+// Parallel roles: the `par=` annotation of the physical EXPLAIN must say
+// what a parallel PlanRuntime does with each node (PrepareSpine).
+
+void ExpectSubtreeSerial(const PhysicalNode& node) {
+  EXPECT_EQ(node.parallel_role, ParallelRole::kSerial) << node.Label();
+  for (const PhysicalPlanPtr& child : node.children) {
+    ExpectSubtreeSerial(*child);
+  }
+}
+
+TEST(LoweringTest, ProductRightSideIsMaterializedSharedOverASerialSubtree) {
+  Database db = TwoTables();
+  auto plan = Lower(db, Expr::Product(Expr::Scan("small"),
+                                      Expr::Project(Expr::Scan("big"), {1})));
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->kind, PhysicalKind::kProduct);
+  EXPECT_EQ(plan->parallel_role, ParallelRole::kPipeline);
+  EXPECT_EQ(plan->children[0]->parallel_role, ParallelRole::kPartition);
+  const PhysicalNode& right = *plan->children[1];
+  EXPECT_EQ(right.parallel_role, ParallelRole::kMaterializeShared);
+  ASSERT_EQ(right.children.size(), 1u);
+  ExpectSubtreeSerial(*right.children[0]);
+}
+
+TEST(LoweringTest, HashJoinBuildSideIsSharedAndProbeSidePipelines) {
+  Database db = TwoTables();
+  const ExprPtr probe = Expr::Project(Expr::Scan("big"), {1, 0});
+  for (bool build_left : {true, false}) {
+    const ExprPtr expr =
+        build_left ? Expr::Join(Expr::Scan("small"), probe, {{0, 0}}, nullptr)
+                   : Expr::Join(probe, Expr::Scan("small"), {{0, 0}}, nullptr);
+    auto plan = Lower(db, expr);
+    ASSERT_NE(plan, nullptr);
+    ASSERT_EQ(plan->kind, PhysicalKind::kHashJoin);
+    ASSERT_EQ(plan->build_left, build_left);
+    EXPECT_EQ(plan->parallel_role, ParallelRole::kPipeline);
+    const PhysicalNode& build = *plan->children[build_left ? 0 : 1];
+    const PhysicalNode& probe_side = *plan->children[build_left ? 1 : 0];
+    EXPECT_EQ(build.parallel_role, ParallelRole::kBuildShared)
+        << "build_left=" << build_left;
+    EXPECT_EQ(probe_side.parallel_role, ParallelRole::kPipeline)
+        << "build_left=" << build_left;
+    ASSERT_EQ(probe_side.children.size(), 1u);
+    EXPECT_EQ(probe_side.children[0]->parallel_role, ParallelRole::kPartition);
+  }
+}
+
+TEST(LoweringTest, DivisionIsMaterializedSharedOverSerialInputs) {
+  Database db = TwoTables();
+  auto plan = Lower(db, Expr::Division(Expr::Scan("big"),
+                                       Expr::Project(Expr::Scan("small"),
+                                                     {1})));
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->kind, PhysicalKind::kDivision);
+  EXPECT_EQ(plan->parallel_role, ParallelRole::kMaterializeShared);
+  ASSERT_EQ(plan->children.size(), 2u);
+  ExpectSubtreeSerial(*plan->children[0]);
+  ExpectSubtreeSerial(*plan->children[1]);
+}
+
+TEST(LoweringTest, NonEmptyRacesItsChildSpine) {
+  Database db = TwoTables();
+  auto plan = Lower(db, Expr::NonEmpty(Expr::Scan("small")));
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->kind, PhysicalKind::kNonEmpty);
+  EXPECT_EQ(plan->parallel_role, ParallelRole::kMaterializeShared);
+  ASSERT_EQ(plan->children.size(), 1u);
+  EXPECT_EQ(plan->children[0]->parallel_role, ParallelRole::kPartition);
+  EXPECT_NE(plan->ToString().find("par=materialize-shared"),
+            std::string::npos)
+      << plan->ToString();
+}
+
 /// The end-to-end EXPLAIN surface: Explain fills Execution::physical
 /// without executing anything.
 TEST(LoweringTest, ExplainProducesPhysicalPlan) {

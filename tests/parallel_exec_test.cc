@@ -1,9 +1,9 @@
 // Morsel-driven parallel execution: unit tests for the sharing
 // primitives (thread pool, morsel dispenser, sharded sets, shared
 // budget), and the headline differential — the whole paper query suite
-// must produce identical answers at num_threads ∈ {1, 2, 8} and serial,
-// with identical Status verdicts under tuple budgets, deadlines and
-// cancellation. Also covers concurrent QueryProcessor use: many threads
+// must produce identical answers and work counters at num_threads ∈
+// {1, 2, 8} and serial (0; 1 is serial too), with identical Status
+// verdicts under tuple budgets, deadlines and cancellation. Also covers concurrent QueryProcessor use: many threads
 // sharing one processor (and so one plan cache, and one lazily rebuilt
 // "dom" view) must never race or lose counter increments;
 // scripts/check.sh runs this binary under TSan.
@@ -17,9 +17,11 @@
 #include <thread>
 #include <vector>
 
+#include "algebra/expr.h"
 #include "common/governor.h"
 #include "common/thread_pool.h"
 #include "core/query_processor.h"
+#include "exec/executor.h"
 #include "exec/physical/parallel.h"
 #include "workload/university.h"
 
@@ -186,8 +188,16 @@ TEST_P(ParallelDifferentialTest, SuiteAgreesAcrossThreadCounts) {
       auto parallel = qp.Run(nq.text, Strategy::kBry, WithThreads(threads));
       ASSERT_TRUE(parallel.ok())
           << nq.name << " @" << threads << ": " << parallel.status();
-      ExpectSameAnswer(*serial, *parallel,
-                       nq.name + " @" + std::to_string(threads));
+      const std::string label = nq.name + " @" + std::to_string(threads);
+      ExpectSameAnswer(*serial, *parallel, label);
+      if (serial->answer.closed) continue;  // witness races stop anywhere
+      // DESIGN §8: an open query does the same work at every degree.
+      const ExecStats& s = serial->stats;
+      const ExecStats& p = parallel->stats;
+      EXPECT_EQ(s.tuples_scanned, p.tuples_scanned) << label;
+      EXPECT_EQ(s.tuples_materialized, p.tuples_materialized) << label;
+      EXPECT_EQ(s.hash_probes, p.hash_probes) << label;
+      EXPECT_EQ(s.comparisons, p.comparisons) << label;
     }
   }
 }
@@ -292,6 +302,29 @@ TEST_P(ParallelDifferentialTest, DeadlineAndCancellationParity) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDifferentialTest,
                          ::testing::Values(1u, 2u, 7u));
+
+/// A boolean root is RunBool's truth value, never an admitted
+/// materialization: NonEmpty(π₀ student) under a one-tuple materialize
+/// budget admits only the projection's first witness, so it succeeds at
+/// every degree with equal counters.
+TEST(ParallelBooleanRootTest, TruthTupleIsNotAdmittedAtAnyDegree) {
+  Database db = MakeUniversity(SmallConfig(1));
+  const ExprPtr expr =
+      Expr::NonEmpty(Expr::Project(Expr::Scan("student"), {0}));
+  std::vector<size_t> materialized;
+  for (size_t threads : {0u, 2u}) {
+    QueryOptions options = WithThreads(threads);
+    options.max_materialized_tuples = 1;
+    ResourceGovernor governor(options);
+    Executor executor(&db, {}, &governor);
+    auto rel = executor.Evaluate(expr);
+    ASSERT_TRUE(rel.ok()) << "@" << threads << ": " << rel.status();
+    EXPECT_EQ(rel->size(), 1u) << "@" << threads;  // {()}: true
+    materialized.push_back(executor.stats().tuples_materialized);
+  }
+  EXPECT_EQ(materialized[0], 1u);
+  EXPECT_EQ(materialized[1], materialized[0]);
+}
 
 // ---------------------------------------------------------------------
 // Concurrent QueryProcessor use: one processor, one plan cache, many
