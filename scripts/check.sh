@@ -4,7 +4,9 @@
 #   2. a Release (-O2 -DNDEBUG) configuration running the full suite —
 #      the vectorized columnar kernels only show their real codegen with
 #      optimization on, and the row/columnar differential suite must
-#      hold there too, and
+#      hold there too — plus the benchmark (perfbench/, its own CMake
+#      package over the same sources) built and run for one second on
+#      one workload, so a library change that breaks it shows here, and
 #   3. an ASan+UBSan configuration with failpoints compiled in, so the
 #      fault-injection stress tests actually run and every injected
 #      failure path is checked for leaks and UB, and
@@ -28,10 +30,14 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== [2/5] Release (-O2 -DNDEBUG) build + tests =="
+echo "== [2/5] Release (-O2 -DNDEBUG) build + tests, benchmark smoke run =="
 cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-rel -j "$JOBS"
 ctest --test-dir build-rel --output-on-failure -j "$JOBS"
+cmake -S perfbench -B build-perfbench >/dev/null
+cmake --build build-perfbench -j "$JOBS" --target perfbench_bin
+build-perfbench/perfbench_bin --workload suite-warm --seed 1 --seconds 1 \
+  --trace 0
 
 echo "== [3/5] sanitized build (address;undefined) + failpoints + tests =="
 cmake -B build-asan -S . \

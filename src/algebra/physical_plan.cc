@@ -36,8 +36,6 @@ const char* PhysicalKindName(PhysicalKind kind) {
       return "Filter";
     case PhysicalKind::kProject:
       return "Project";
-    case PhysicalKind::kProduct:
-      return "Product";
     case PhysicalKind::kHashJoin:
       return "HashJoin";
     case PhysicalKind::kSortMergeJoin:

@@ -30,7 +30,8 @@ const char* JoinVariantName(JoinVariant variant);
 /// Physical operator kinds — what the lowering pass compiles the logical
 /// Expr tree into. Where ExprKind says *what* is computed, PhysicalKind
 /// says *how*: access path (table vs. index scan), join algorithm (hash
-/// vs. sort-merge), and build-side placement are all explicit here.
+/// vs. sort-merge), and build-side placement are all explicit here. There
+/// is no product kind: × lowers to a kHashJoin with no keys.
 enum class PhysicalKind {
   kTableScan,      // full scan of a named base relation
   kLiteralScan,    // scan of an inline relation
@@ -38,7 +39,6 @@ enum class PhysicalKind {
   kColumnarScan,   // column-store scan, zone-pruned, predicate pushed down
   kFilter,         // σ_pred over a stream
   kProject,        // π_cols with streaming dedup
-  kProduct,        // ×, right side materialized
   kHashJoin,       // build + probe; covers all five JoinVariants
   kSortMergeJoin,  // sort both sides + merge; covers all five variants
   kDivision,       // ÷

@@ -18,7 +18,8 @@ struct ExecOptions {
     kHash,
     /// Classic sort-merge, the algorithm family of the paper's era.
     /// Materializes both sides; same results, different cost profile
-    /// (comparisons instead of probes).
+    /// (comparisons instead of probes). Products stay hash joins: they
+    /// have no key to sort on.
     kSortMerge,
   };
   JoinAlgorithm join_algorithm = JoinAlgorithm::kHash;
@@ -54,8 +55,8 @@ struct ExecOptions {
 /// Resource governance: every base-relation read and every intermediate
 /// materialization is admitted through the ResourceGovernor, operator
 /// opens poll the deadline/cancellation, and the inner loops of
-/// join-family and product operators tick it so plans that filter
-/// everything out still honour the deadline. When the governor trips, the
+/// join-family operators (products among them) tick it so plans that
+/// filter everything out still honour the deadline. When the governor trips, the
 /// evaluation returns the governor's Status (kResourceExhausted /
 /// kDeadlineExceeded / kCancelled) instead of a partial answer.
 class Executor {

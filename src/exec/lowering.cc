@@ -111,13 +111,15 @@ class Lowerer {
         BRYQL_RETURN_NOT_OK(LowerChildren(expr, node.get()));
         break;
       }
-      case ExprKind::kProduct: {
-        node->kind = PhysicalKind::kProduct;
-        BRYQL_RETURN_NOT_OK(LowerChildren(expr, node.get()));
-        break;
-      }
+      case ExprKind::kProduct:
       case ExprKind::kJoin: {
-        node->kind = JoinKind();
+        // A product is an inner join with no keys (and no predicate). It
+        // is always a hash join: with no key to sort on, a sort-merge
+        // join would materialize the whole product, while the hash join
+        // streams its probe side.
+        node->kind = expr->kind() == ExprKind::kProduct
+                         ? PhysicalKind::kHashJoin
+                         : JoinKind();
         node->variant = JoinVariant::kInner;
         node->keys = expr->keys();
         node->predicate = expr->predicate();
@@ -247,9 +249,9 @@ class Lowerer {
 /// record of where a parallel PlanRuntime places exchange (morsel
 /// dispensers) and merge (shared materialization) points. The walk
 /// mirrors PlanRuntime::PrepareSpine: the spine is the streaming path
-/// from the root through filters/projects/unions, product left inputs and
-/// join probe inputs down to the scans; everything hanging off it is
-/// computed once and shared.
+/// from the root through filters/projects/unions and join probe inputs
+/// (products included: they are keyless hash joins) down to the scans;
+/// everything hanging off it is computed once and shared.
 ///
 /// The tree was freshly built above with a single owner, so the
 /// const_cast is sound — annotation finishes before the plan is
@@ -282,16 +284,6 @@ void AnnotateParallel(const PhysicalNode* cnode, bool on_spine) {
       AnnotateParallel(node->children[0].get(), true);
       AnnotateParallel(node->children[1].get(), true);
       break;
-    case PhysicalKind::kProduct: {
-      // Left streams per worker; the right side is materialized once by
-      // the coordinator and borrowed by every worker's product.
-      node->parallel_role = ParallelRole::kPipeline;
-      AnnotateParallel(node->children[0].get(), true);
-      PhysicalNode* right = const_cast<PhysicalNode*>(node->children[1].get());
-      AnnotateParallel(right, false);
-      right->parallel_role = ParallelRole::kMaterializeShared;
-      break;
-    }
     case PhysicalKind::kHashJoin: {
       // Probe side streams per worker; the build side is drained once
       // (itself morsel-parallel) into the shared build structure.

@@ -19,7 +19,8 @@ namespace bryql {
 ///   * join algorithm — the whole join family (inner, semi,
 ///     complement/anti, outer, mark) lowers to HashJoin or SortMergeJoin
 ///     per ExecOptions::join_algorithm, and difference/intersection lower
-///     to whole-tuple-key semi/anti joins of the same family;
+///     to whole-tuple-key semi/anti joins of the same family; a product
+///     is a keyless inner hash join under either algorithm;
 ///   * build-side placement — inner hash joins build on whichever input
 ///     the cost model estimates strictly smaller (ties build right);
 ///   * cost annotations — every node carries the cost model's row/cost

@@ -4,42 +4,6 @@
 
 namespace bryql {
 
-Status ProductOp::Open() {
-  BRYQL_RETURN_NOT_OK(left_->Open());
-  if (right_op_ == nullptr) return Status::Ok();  // borrowed, pre-drained
-  BRYQL_RETURN_NOT_OK(right_op_->Open());
-  return DrainToRelation(right_op_.get(), ctx_, &right_);
-}
-
-Status ProductOp::NextBatch(TupleBatch* out) {
-  out->Clear();
-  while (!out->full() && !left_done_) {
-    // A product's output is quadratic in its inputs; every combination
-    // ticks so deadlines bite inside the loop.
-    if (!ctx_.governor->Tick()) return ctx_.governor->status();
-    if (right_index_ == 0) {
-      bool have = false;
-      BRYQL_RETURN_NOT_OK(
-          cursor_.Next(&current_left_, &have, out->capacity()));
-      if (!have) {
-        left_done_ = true;
-        break;
-      }
-    }
-    if (right_index_ < right_view_->rows().size()) {
-      out->Add(current_left_.Concat(right_view_->rows()[right_index_++]));
-      if (right_index_ == right_view_->rows().size()) right_index_ = 0;
-      continue;
-    }
-    right_index_ = 0;
-    if (right_view_->rows().empty()) {
-      left_done_ = true;
-      break;
-    }
-  }
-  return Status::Ok();
-}
-
 HashJoinOp::HashJoinOp(PhysicalOpPtr left, PhysicalOpPtr right,
                        std::vector<JoinKey> keys, JoinVariant variant,
                        PredicatePtr predicate, bool build_left,

@@ -13,49 +13,15 @@ namespace bryql {
 
 class SharedJoinBuild;
 
-/// Cartesian product: the right side is fully drained at Open, the left
-/// side streams. Every combination (emitted or not) ticks the governor so
-/// deadlines bite inside the quadratic loop.
-///
-/// The borrowed-right constructor is the parallel form: the coordinator
-/// has already drained the right side once (with the serial admissions),
-/// and every worker's product iterates the same shared rows.
-class ProductOp : public PhysicalOperator {
- public:
-  ProductOp(PhysicalOpPtr left, PhysicalOpPtr right, size_t right_arity,
-            PhysicalContext ctx)
-      : left_(std::move(left)), right_op_(std::move(right)),
-        right_(right_arity), right_view_(&right_), cursor_(left_.get()),
-        ctx_(ctx) {}
-  ProductOp(PhysicalOpPtr left, const Relation* borrowed_right,
-            PhysicalContext ctx)
-      : left_(std::move(left)), right_(0), right_view_(borrowed_right),
-        cursor_(left_.get()), ctx_(ctx) {}
-  Status Open() override;
-  Status NextBatch(TupleBatch* out) override;
-  void Close() override {
-    left_->Close();
-    if (right_op_ != nullptr) right_op_->Close();
-  }
-
- private:
-  PhysicalOpPtr left_;
-  PhysicalOpPtr right_op_;       // null in borrowed mode
-  Relation right_;               // owned drain target (unused borrowed)
-  const Relation* right_view_;   // what NextBatch actually iterates
-  BatchCursor cursor_;
-  PhysicalContext ctx_;
-  Tuple current_left_;
-  size_t right_index_ = 0;
-  bool left_done_ = false;
-};
-
 /// The whole hash-join family of the paper behind one operator: inner
 /// join, semi-join, complement-join (Definition 6, kAnti), unidirectional
 /// outer join, and the space-saving constrained outer join (Definition 7,
-/// kMark). The build side is drained into a hash table at Open (a
-/// key-multimap for variants that need partner values, a key set for pure
-/// membership tests); the probe side streams in batches.
+/// kMark). A cartesian product is the inner join with no keys: every
+/// probe tuple meets the whole build side, and since NextInner ticks per
+/// candidate, deadlines bite inside the quadratic loop. The build side
+/// is drained into a hash table at Open (a key-multimap for variants that
+/// need partner values, a key set for pure membership tests); the probe
+/// side streams in batches.
 ///
 /// `build_left` (inner joins only) puts the left input on the build side
 /// when the lowering's cost model estimates it smaller; output column

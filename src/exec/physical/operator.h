@@ -147,11 +147,11 @@ enum class DrainAdmission {
 };
 
 /// The one drain loop of every blocking edge: hash builds (serial and
-/// parallel shared), division, group-count, product and sort-merge
-/// inputs, and the parallel final merge. Pulls `child` to exhaustion,
-/// calling `insert(tuple)` → Result<bool> (fresh, or an error that aborts
-/// the drain); `failpoint` fires per tuple. Returns the governor's status
-/// at exhaustion, so a trip latched anywhere below surfaces here.
+/// parallel shared), division, group-count and sort-merge inputs, and
+/// the parallel final merge. Pulls `child` to exhaustion, calling
+/// `insert(tuple)` → Result<bool> (fresh, or an error that aborts the
+/// drain); `failpoint` fires per tuple. Returns the governor's status at
+/// exhaustion, so a trip latched anywhere below surfaces here.
 template <typename Insert>
 Status Drain(PhysicalOperator* child, const PhysicalContext& ctx,
              [[maybe_unused]] const char* failpoint,

@@ -39,11 +39,11 @@ Status PlanRuntime::RunPhase(const PhysicalPlanPtr& spine_root,
   return ctx_.governor->status();
 }
 
-void PlanRuntime::ShareRelation(const PhysicalNode* node, Relation rel) {
-  auto owned = std::make_unique<Relation>(std::move(rel));
-  registry_->morsels.emplace(
-      node, std::make_unique<MorselSource>(owned->rows().size()));
-  registry_->relations.emplace(node, std::move(owned));
+void PlanRuntime::ShareRows(const PhysicalNode* node,
+                            std::vector<Tuple> rows) {
+  registry_->morsels.emplace(node, std::make_unique<MorselSource>(rows.size()));
+  registry_->rows.emplace(
+      node, std::make_unique<std::vector<Tuple>>(std::move(rows)));
 }
 
 Status PlanRuntime::BuildJoinShared(const PhysicalPlanPtr& node) {
@@ -99,11 +99,14 @@ Status PlanRuntime::PrepareSpine(const PhysicalPlanPtr& node) {
       BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
                              ctx_.db->Get(node->relation_name));
       // Mirror Build's stale-index fallback: without the index the worker
-      // trees scan the whole table, so the morsels cover all rows.
-      const size_t size =
-          rel->HasIndex(node->index_column)
-              ? rel->Matches(node->index_column, node->index_value).size()
-              : rel->rows().size();
+      // trees scan the whole table, so the morsels cover all rows. The
+      // bucket lookup is the run's one index probe; workers sharing these
+      // morsels do not count it again.
+      size_t size = rel->rows().size();
+      if (rel->HasIndex(node->index_column)) {
+        size = rel->Matches(node->index_column, node->index_value).size();
+        ++ctx_.stats->hash_probes;
+      }
       registry_->morsels.emplace(node.get(),
                                  std::make_unique<MorselSource>(size));
       return Status::Ok();
@@ -121,18 +124,6 @@ Status PlanRuntime::PrepareSpine(const PhysicalPlanPtr& node) {
       BRYQL_RETURN_NOT_OK(PrepareSpine(node->children[0]));
       return PrepareSpine(node->children[1]);
     }
-    case PhysicalKind::kProduct: {
-      // Serial ProductOp drains its right side with admissions at Open;
-      // here the coordinator pays those admissions exactly once and every
-      // worker borrows the result.
-      BRYQL_ASSIGN_OR_RETURN(
-          Relation right,
-          Serial().Materialize(node->children[1], /*admitted=*/true));
-      registry_->relations.emplace(
-          node->children[1].get(),
-          std::make_unique<Relation>(std::move(right)));
-      return PrepareSpine(node->children[0]);
-    }
     case PhysicalKind::kHashJoin: {
       BRYQL_RETURN_NOT_OK(BuildJoinShared(node));
       return PrepareSpine(node->build_left ? node->children[1]
@@ -145,10 +136,18 @@ Status PlanRuntime::PrepareSpine(const PhysicalPlanPtr& node) {
       // Blocking operators terminate the spine: computed once, serially
       // (their Opens do their own internal admissions, identical to the
       // serial run), and their *output* is shared unadmitted — serial
-      // execution streams it to the parent without admissions too.
-      BRYQL_ASSIGN_OR_RETURN(Relation rel,
-                             Serial().Materialize(node, /*admitted=*/false));
-      ShareRelation(node.get(), std::move(rel));
+      // execution streams it to the parent without admissions too. The
+      // output is already a set, so its rows are shared as they stream.
+      std::vector<Tuple> rows;
+      BRYQL_RETURN_NOT_OK(Serial().Drive(node, [&](PhysicalOperator* op) {
+        TupleBatch batch(ctx_.batch_size);
+        while (true) {
+          BRYQL_RETURN_NOT_OK(op->NextBatch(&batch));
+          if (batch.empty()) return Status::Ok();
+          for (size_t i = 0; i < batch.size(); ++i) rows.push_back(batch[i]);
+        }
+      }));
+      ShareRows(node.get(), std::move(rows));
       return Status::Ok();
     }
     case PhysicalKind::kNonEmpty:
@@ -158,7 +157,7 @@ Status PlanRuntime::PrepareSpine(const PhysicalPlanPtr& node) {
       // A boolean subtree in relational context: RunBool on this
       // coordinator, shared as the 0-ary truth relation.
       BRYQL_ASSIGN_OR_RETURN(Relation rel, RunTruth(node));
-      ShareRelation(node.get(), std::move(rel));
+      ShareRows(node.get(), rel.rows());
       return Status::Ok();
     }
   }

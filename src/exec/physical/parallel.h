@@ -136,8 +136,10 @@ class SharedJoinBuild {
 ///
 /// PlanRuntime::Build consults this registry (via PhysicalContext::shared)
 /// when instantiating a worker's operator tree:
-///   * a node in `relations` becomes a RelationScanOp over the borrowed
-///     rows (its morsel source, when present, partitions them);
+///   * a node in `rows` (a blocking operator's result or a boolean
+///     subtree's truth relation, both already sets) becomes a
+///     RelationScanOp over the borrowed rows, partitioned by the node's
+///     morsel source — PlanRuntime::ShareRows registers both;
 ///   * a scan node in `morsels` reads from the shared dispenser instead
 ///     of scanning [0, n) privately;
 ///   * a join node in `builds` skips its build side entirely and probes
@@ -149,15 +151,15 @@ struct ParallelShared {
   using ByNode = std::unordered_map<const PhysicalNode*, std::unique_ptr<T>>;
 
   ByNode<MorselSource> morsels;
-  ByNode<Relation> relations;
+  ByNode<std::vector<Tuple>> rows;
   ByNode<SharedJoinBuild> builds;
   ByNode<ShardedTupleSet> seen_sets;
 
   MorselSource* FindMorsels(const PhysicalNode* node) const {
     return Find(morsels, node);
   }
-  const Relation* FindRelation(const PhysicalNode* node) const {
-    return Find(relations, node);
+  const std::vector<Tuple>* FindRows(const PhysicalNode* node) const {
+    return Find(rows, node);
   }
   const SharedJoinBuild* FindBuild(const PhysicalNode* node) const {
     return Find(builds, node);

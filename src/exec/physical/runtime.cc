@@ -148,9 +148,9 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
   // scan over the shared result — morsel-partitioned, with no admissions,
   // exactly like the serial BlockingResultOp streaming it would be.
   if (ctx_.shared != nullptr) {
-    if (const Relation* rel = ctx_.shared->FindRelation(node.get())) {
-      op = PhysicalOpPtr(new RelationScanOp(
-          &rel->rows(), ctx_.shared->FindMorsels(node.get())));
+    if (const std::vector<Tuple>* rows = ctx_.shared->FindRows(node.get())) {
+      op = PhysicalOpPtr(
+          new RelationScanOp(rows, ctx_.shared->FindMorsels(node.get())));
       return PhysicalOpPtr(new TimedOp(std::move(op), node->Label(),
                                        ctx_.stats, op_index, ctx_.governor));
     }
@@ -195,7 +195,9 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
                                : Predicate::And({eq, node->predicate}));
         break;
       }
-      ++ctx_.stats->hash_probes;
+      // One bucket lookup per run: with shared morsels the coordinator
+      // counted it in PrepareSpine, not once per worker.
+      if (morsels == nullptr) ++ctx_.stats->hash_probes;
       op = PhysicalOpPtr(new IndexScanOp(
           rel, &rel->Matches(node->index_column, node->index_value),
           node->predicate, ctx_, morsels));
@@ -225,24 +227,6 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
           ctx_.shared == nullptr ? nullptr : ctx_.shared->FindSeen(node.get());
       op = PhysicalOpPtr(
           new ProjectOp(std::move(child), node->columns, ctx_, seen));
-      break;
-    }
-    case PhysicalKind::kProduct: {
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr left, input(0));
-      // Parallel workers: the coordinator drained the right side once
-      // (with the serial per-tuple admissions) and registered it; every
-      // worker's product borrows those rows instead of re-draining —
-      // which would multiply the admission count by the worker count.
-      if (ctx_.shared != nullptr) {
-        if (const Relation* rel =
-                ctx_.shared->FindRelation(node->children[1].get())) {
-          op = PhysicalOpPtr(new ProductOp(std::move(left), rel, ctx_));
-          break;
-        }
-      }
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr right, input(1));
-      op = PhysicalOpPtr(new ProductOp(std::move(left), std::move(right),
-                                       node->children[1]->arity, ctx_));
       break;
     }
     case PhysicalKind::kHashJoin: {
@@ -322,7 +306,11 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
 Result<Relation> PlanRuntime::Run(const PhysicalPlanPtr& plan) {
   if (IsBoolean(plan->kind)) return RunTruth(plan);
   if (workers_ > 1) return RunParallel(plan);
-  return Materialize(plan, /*admitted=*/true);
+  Relation rel(plan->arity);
+  BRYQL_RETURN_NOT_OK(Drive(plan, [&](PhysicalOperator* op) {
+    return DrainToRelation(op, ctx_, &rel);
+  }));
+  return rel;
 }
 
 Result<Relation> PlanRuntime::RunTruth(const PhysicalPlanPtr& plan) {
@@ -334,31 +322,18 @@ Result<Relation> PlanRuntime::RunTruth(const PhysicalPlanPtr& plan) {
   return rel;
 }
 
-Result<Relation> PlanRuntime::Materialize(const PhysicalPlanPtr& node,
-                                          bool admitted) {
+Status PlanRuntime::Drive(
+    const PhysicalPlanPtr& node,
+    const std::function<Status(PhysicalOperator*)>& pull) {
   BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr op, Build(node, 0));
   BRYQL_RETURN_NOT_OK(op->Open());
-  Relation rel(node->arity);
-  Status status;
-  if (admitted) {
-    status = DrainToRelation(op.get(), ctx_, &rel);
-  } else {
-    TupleBatch batch(ctx_.batch_size);
-    while (status.ok()) {
-      status = op->NextBatch(&batch);
-      if (!status.ok() || batch.empty()) break;
-      for (size_t i = 0; i < batch.size() && status.ok(); ++i) {
-        status = rel.Insert(batch[i]).status();
-      }
-    }
-  }
+  Status status = pull(op.get());
   op->Close();
   BRYQL_RETURN_NOT_OK(status);
   // A fault contained during Close (exception barrier) latches the
-  // governor rather than interrupting the drain; don't report a clean
-  // answer over it.
-  BRYQL_RETURN_NOT_OK(ctx_.governor->status());
-  return rel;
+  // governor rather than interrupting the pull, and a tripped governor
+  // must not masquerade as a short or empty result.
+  return ctx_.governor->status();
 }
 
 Result<bool> PlanRuntime::NonEmpty(const PhysicalPlanPtr& child) {
@@ -370,14 +345,9 @@ Result<bool> PlanRuntime::NonEmpty(const PhysicalPlanPtr& child) {
     // scheduling-dependent; the serial pull decides it deterministically.
     return Serial().NonEmpty(child);
   }
-  BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr op, Build(child, 0));
-  BRYQL_RETURN_NOT_OK(op->Open());
   TupleBatch batch(1);
-  Status status = op->NextBatch(&batch);
-  op->Close();
-  BRYQL_RETURN_NOT_OK(status);
-  // A tripped governor must not masquerade as "empty".
-  BRYQL_RETURN_NOT_OK(ctx_.governor->status());
+  BRYQL_RETURN_NOT_OK(Drive(
+      child, [&](PhysicalOperator* op) { return op->NextBatch(&batch); }));
   return !batch.empty();
 }
 

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "algebra/physical_plan.h"
 #include "common/batch.h"
@@ -26,13 +27,13 @@ namespace bryql {
 /// `workers` ≤ 1 runs serially. A larger degree (capped at kMaxWorkers)
 /// makes the runtime the coordinator of a morsel-driven run: it
 /// replicates the plan's spine — the streaming path from the root through
-/// filters, projects, unions, product left inputs and join probe inputs
-/// down to the scans — once per worker, and computes everything off the
-/// spine exactly once into its ParallelShared registry: join builds are
-/// drained (themselves in parallel) into SharedJoinBuilds, product right
-/// sides and blocking operators are materialized serially, boolean
-/// subtrees go through RunBool. Each worker is a degree-1 PlanRuntime
-/// whose `shared` is that registry (see PhysicalContext::shared).
+/// filters, projects, unions and join probe inputs down to the scans —
+/// once per worker, and computes everything off the spine exactly once
+/// into its ParallelShared registry: join builds (products' too) are
+/// drained, themselves in parallel, into SharedJoinBuilds, blocking
+/// operators are computed serially, boolean subtrees go through RunBool.
+/// Each worker is a degree-1 PlanRuntime whose `shared` is that registry
+/// (see PhysicalContext::shared).
 ///
 /// Budget/status parity across degrees is a design invariant: morsels
 /// cover each row once, shared builds and seen-sets admit each
@@ -73,11 +74,11 @@ class PlanRuntime {
   /// is finite.
   Result<bool> NonEmpty(const PhysicalPlanPtr& child);
 
-  /// Instantiates, drains and closes `node`. `admitted` drains through
-  /// DrainToRelation (a root, a product's right side); otherwise rows are
-  /// copied unadmitted, as serial execution streams a blocking
-  /// operator's output.
-  Result<Relation> Materialize(const PhysicalPlanPtr& node, bool admitted);
+  /// Instantiates and opens `node`, runs `pull` on it, and closes it.
+  /// Fails with the governor's status if it tripped, even when `pull`
+  /// returned OK.
+  Status Drive(const PhysicalPlanPtr& node,
+               const std::function<Status(PhysicalOperator*)>& pull);
 
   /// A serial runtime sharing this run's stats and governor.
   PlanRuntime Serial() const {
@@ -98,9 +99,8 @@ class PlanRuntime {
   /// Drains `node`'s build side (in parallel) into a SharedJoinBuild.
   Status BuildJoinShared(const PhysicalPlanPtr& node);
 
-
-  /// Shares `rel` as `node`'s result, morsel-partitioned.
-  void ShareRelation(const PhysicalNode* node, Relation rel);
+  /// Shares `rows` as `node`'s result, morsel-partitioned.
+  void ShareRows(const PhysicalNode* node, std::vector<Tuple> rows);
 
   /// Prepares the spine, then merges the workers' partitions.
   Result<Relation> RunParallel(const PhysicalPlanPtr& plan);

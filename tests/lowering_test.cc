@@ -153,6 +153,35 @@ TEST(LoweringTest, DifferenceLowersToWholeTupleAntiJoin) {
   EXPECT_EQ(plan->keys[1].right, 1u);
 }
 
+/// A product is a keyless inner hash join under either join algorithm
+/// (sort-merge has no key to sort on), building on the smaller input.
+TEST(LoweringTest, ProductLowersToKeylessInnerHashJoin) {
+  Database db = TwoTables();
+  for (auto algorithm : {ExecOptions::JoinAlgorithm::kHash,
+                         ExecOptions::JoinAlgorithm::kSortMerge}) {
+    ExecOptions options;
+    options.join_algorithm = algorithm;
+    for (bool small_left : {true, false}) {
+      const ExprPtr small = Expr::Scan("small");
+      const ExprPtr big = Expr::Scan("big");
+      auto plan = Lower(db,
+                        small_left ? Expr::Product(small, big)
+                                   : Expr::Product(big, small),
+                        options);
+      ASSERT_NE(plan, nullptr);
+      EXPECT_EQ(plan->kind, PhysicalKind::kHashJoin) << plan->Label();
+      EXPECT_EQ(plan->variant, JoinVariant::kInner);
+      EXPECT_TRUE(plan->keys.empty());
+      EXPECT_EQ(plan->predicate, nullptr);
+      EXPECT_EQ(plan->build_left, small_left);
+      EXPECT_EQ(plan->arity, 4u);
+      EXPECT_EQ(plan->Label(), small_left
+                                   ? "HashJoin(inner, build=left, keys=[])"
+                                   : "HashJoin(inner, build=right, keys=[])");
+    }
+  }
+}
+
 TEST(LoweringTest, IntersectLowersToWholeTupleSemiJoin) {
   Database db = TwoTables();
   auto plan =
@@ -215,18 +244,19 @@ void ExpectSubtreeSerial(const PhysicalNode& node) {
   }
 }
 
-TEST(LoweringTest, ProductRightSideIsMaterializedSharedOverASerialSubtree) {
+TEST(LoweringTest, ProductIsAPipelineWithASharedBuildChild) {
   Database db = TwoTables();
   auto plan = Lower(db, Expr::Product(Expr::Scan("small"),
                                       Expr::Project(Expr::Scan("big"), {1})));
   ASSERT_NE(plan, nullptr);
-  ASSERT_EQ(plan->kind, PhysicalKind::kProduct);
+  ASSERT_EQ(plan->kind, PhysicalKind::kHashJoin);
+  ASSERT_TRUE(plan->build_left);  // small is the smaller input
   EXPECT_EQ(plan->parallel_role, ParallelRole::kPipeline);
-  EXPECT_EQ(plan->children[0]->parallel_role, ParallelRole::kPartition);
-  const PhysicalNode& right = *plan->children[1];
-  EXPECT_EQ(right.parallel_role, ParallelRole::kMaterializeShared);
-  ASSERT_EQ(right.children.size(), 1u);
-  ExpectSubtreeSerial(*right.children[0]);
+  EXPECT_EQ(plan->children[0]->parallel_role, ParallelRole::kBuildShared);
+  const PhysicalNode& probe = *plan->children[1];
+  EXPECT_EQ(probe.parallel_role, ParallelRole::kPipeline);
+  ASSERT_EQ(probe.children.size(), 1u);
+  EXPECT_EQ(probe.children[0]->parallel_role, ParallelRole::kPartition);
 }
 
 TEST(LoweringTest, HashJoinBuildSideIsSharedAndProbeSidePipelines) {

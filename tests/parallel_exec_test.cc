@@ -2,17 +2,20 @@
 // primitives (thread pool, morsel dispenser, sharded sets, shared
 // budget), and the headline differential — the whole paper query suite
 // must produce identical answers and work counters at num_threads ∈
-// {1, 2, 8} and serial (0; 1 is serial too), with identical Status
-// verdicts under tuple budgets, deadlines and cancellation. Also covers concurrent QueryProcessor use: many threads
-// sharing one processor (and so one plan cache, and one lazily rebuilt
-// "dom" view) must never race or lose counter increments;
-// scripts/check.sh runs this binary under TSan.
+// {1, 2, 8} and serial (0; 1 is serial too), also with every column
+// indexed and under the classical (product) translation, with identical
+// Status verdicts under tuple budgets, deadlines and cancellation. Also
+// covers concurrent QueryProcessor use: many threads sharing one
+// processor (and so one plan cache, and one lazily rebuilt "dom" view)
+// must never race or lose counter increments; scripts/check.sh runs this
+// binary under TSan.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -177,21 +180,22 @@ void ExpectSameAnswer(const Execution& serial, const Execution& parallel,
 
 class ParallelDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ParallelDifferentialTest, SuiteAgreesAcrossThreadCounts) {
-  Database db = MakeUniversity(SmallConfig(GetParam()));
+/// Runs the paper suite under `strategy` serially (num_threads 0) and at
+/// each of `degrees`: the answers agree, and — DESIGN §8 — an open query
+/// does the same work at every degree.
+void ExpectSuiteParity(const Database& db, Strategy strategy,
+                       std::initializer_list<size_t> degrees) {
   QueryProcessor qp(&db);
-
   for (const NamedQuery& nq : PaperQuerySuite()) {
-    auto serial = qp.Run(nq.text, Strategy::kBry, WithThreads(0));
+    auto serial = qp.Run(nq.text, strategy, WithThreads(0));
     ASSERT_TRUE(serial.ok()) << nq.name << ": " << serial.status();
-    for (size_t threads : {1u, 2u, 8u}) {
-      auto parallel = qp.Run(nq.text, Strategy::kBry, WithThreads(threads));
+    for (size_t threads : degrees) {
+      auto parallel = qp.Run(nq.text, strategy, WithThreads(threads));
       ASSERT_TRUE(parallel.ok())
           << nq.name << " @" << threads << ": " << parallel.status();
       const std::string label = nq.name + " @" + std::to_string(threads);
       ExpectSameAnswer(*serial, *parallel, label);
       if (serial->answer.closed) continue;  // witness races stop anywhere
-      // DESIGN §8: an open query does the same work at every degree.
       const ExecStats& s = serial->stats;
       const ExecStats& p = parallel->stats;
       EXPECT_EQ(s.tuples_scanned, p.tuples_scanned) << label;
@@ -200,6 +204,33 @@ TEST_P(ParallelDifferentialTest, SuiteAgreesAcrossThreadCounts) {
       EXPECT_EQ(s.comparisons, p.comparisons) << label;
     }
   }
+}
+
+TEST_P(ParallelDifferentialTest, SuiteAgreesAcrossThreadCounts) {
+  Database db = MakeUniversity(SmallConfig(GetParam()));
+  ExpectSuiteParity(db, Strategy::kBry, {1u, 2u, 8u});
+}
+
+/// With every column indexed, selections on constants become index
+/// scans: each run does one bucket lookup per scan, however many workers
+/// share its morsels.
+TEST_P(ParallelDifferentialTest, IndexedSuiteAgreesAcrossThreadCounts) {
+  Database db = MakeUniversity(SmallConfig(GetParam()));
+  db.BuildAllIndexes();
+  ExpectSuiteParity(db, Strategy::kBry, {1u, 2u, 8u});
+}
+
+/// The classical translation's range products are keyless hash joins:
+/// their build sides are drained once into a shared build like any join.
+/// The products grow with the product of the ranges (sec1-running probes
+/// ~5M times on SmallConfig), so this runs on a smaller university.
+TEST_P(ParallelDifferentialTest, ClassicalSuiteAgreesAcrossThreadCounts) {
+  UniversityConfig config = SmallConfig(GetParam());
+  config.students = 16;
+  config.professors = 6;
+  config.lectures = 8;
+  Database db = MakeUniversity(config);
+  ExpectSuiteParity(db, Strategy::kClassical, {2u, 8u});
 }
 
 /// One prepared plan, every parallelism degree: num_threads is a
