@@ -6,7 +6,7 @@
 #      optimization on, and the row/columnar differential suite must
 #      hold there too — plus the benchmark (perfbench/, its own CMake
 #      package over the same sources) built and run for one second on
-#      one workload, so a library change that breaks it shows here, and
+#      each workload, so a library change that breaks it shows here, and
 #   3. an ASan+UBSan configuration with failpoints compiled in, so the
 #      fault-injection stress tests actually run and every injected
 #      failure path is checked for leaks and UB, and
@@ -36,8 +36,10 @@ cmake --build build-rel -j "$JOBS"
 ctest --test-dir build-rel --output-on-failure -j "$JOBS"
 cmake -S perfbench -B build-perfbench >/dev/null
 cmake --build build-perfbench -j "$JOBS" --target perfbench_bin
-build-perfbench/perfbench_bin --workload suite-warm --seed 1 --seconds 1 \
-  --trace 0
+for workload in suite-warm adhoc-cold service-mixed; do
+  build-perfbench/perfbench_bin --workload "$workload" --seed 1 --seconds 1 \
+    --trace 0
+done
 
 echo "== [3/5] sanitized build (address;undefined) + failpoints + tests =="
 cmake -B build-asan -S . \

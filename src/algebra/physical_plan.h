@@ -15,8 +15,7 @@ namespace bryql {
 /// Which member of the join family to compute. The paper's observation —
 /// the complement-join "is easily implemented by modifying any semi-join
 /// algorithm" (§3.1), and likewise the constrained outer-join from any
-/// join (§3.3) — holds for hash and sort-merge algorithms alike, so the
-/// variant is orthogonal to the physical algorithm choice.
+/// join (§3.3) — is why one hash join operator covers every variant.
 enum class JoinVariant {
   kInner,      // ⋈: concatenated matches
   kSemi,       // ⋉: left rows with a partner
@@ -29,9 +28,10 @@ const char* JoinVariantName(JoinVariant variant);
 
 /// Physical operator kinds — what the lowering pass compiles the logical
 /// Expr tree into. Where ExprKind says *what* is computed, PhysicalKind
-/// says *how*: access path (table vs. index scan), join algorithm (hash
-/// vs. sort-merge), and build-side placement are all explicit here. There
-/// is no product kind: × lowers to a kHashJoin with no keys.
+/// says *how*: access path (table vs. index scan) and build-side
+/// placement are explicit here. The whole join family, difference and
+/// intersection included, lowers to kHashJoin; there is no product kind
+/// either: × is a kHashJoin with no keys.
 enum class PhysicalKind {
   kTableScan,      // full scan of a named base relation
   kLiteralScan,    // scan of an inline relation
@@ -40,7 +40,6 @@ enum class PhysicalKind {
   kFilter,         // σ_pred over a stream
   kProject,        // π_cols with streaming dedup
   kHashJoin,       // build + probe; covers all five JoinVariants
-  kSortMergeJoin,  // sort both sides + merge; covers all five variants
   kDivision,       // ÷
   kGroupDivision,  // per-group ÷
   kGroupCount,     // γ
@@ -91,9 +90,9 @@ struct PhysicalNode {
   size_t index_column = 0;
   Value index_value;
 
-  /// kFilter predicate; kIndexScan residual; kHashJoin/kSortMergeJoin
-  /// residual (kInner, over the concatenated tuple) or probe constraint
-  /// (kLeftOuter/kMark, over the left tuple).
+  /// kFilter predicate; kIndexScan residual; kHashJoin residual (kInner,
+  /// over the concatenated tuple) or probe constraint (kLeftOuter/kMark,
+  /// over the left tuple).
   PredicatePtr predicate;
 
   /// kProject columns.

@@ -161,9 +161,6 @@ std::string QueryProcessor::CacheKey(const std::string& text,
   std::string key = StrategyName(strategy);
   key += '\x1f';
   key += domain_closure_ ? '1' : '0';
-  key += exec_options_.join_algorithm == ExecOptions::JoinAlgorithm::kSortMerge
-             ? 's'
-             : 'h';
   key += '\x1f';
   key += std::to_string(options.max_formula_depth);
   key += ':';

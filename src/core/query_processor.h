@@ -134,7 +134,7 @@ class QueryProcessor {
   }
 
   /// Physical execution knobs used by every subsequent Run/Prepare
-  /// (join algorithm, batch size, columnar scans).
+  /// (batch size, columnar scans).
   /// Invalidates the plan cache — plans depend on these choices.
   void SetExecOptions(const ExecOptions& options) {
     exec_options_ = options;

@@ -13,17 +13,6 @@ namespace bryql {
 
 /// Physical execution knobs.
 struct ExecOptions {
-  enum class JoinAlgorithm {
-    /// Hash build + probe (default): streams the probe side.
-    kHash,
-    /// Classic sort-merge, the algorithm family of the paper's era.
-    /// Materializes both sides; same results, different cost profile
-    /// (comparisons instead of probes). Products stay hash joins: they
-    /// have no key to sort on.
-    kSortMerge,
-  };
-  JoinAlgorithm join_algorithm = JoinAlgorithm::kHash;
-
   /// Tuples per NextBatch transfer. 1 degrades to tuple-at-a-time data
   /// flow through the same operators — the configuration the differential
   /// suites use as the budget/trip-code oracle for the default size.
@@ -41,7 +30,7 @@ struct ExecOptions {
 /// The Executor is a thin facade over two pieces:
 ///
 ///   * src/exec/lowering — compiles the logical Expr tree into a
-///     PhysicalPlan (access paths, join algorithm, build side);
+///     PhysicalPlan (access paths, build side);
 ///   * src/exec/physical — batched Open/NextBatch/Close operators and the
 ///     PlanRuntime that instantiates and drives plans, serially or
 ///     morsel-parallel (QueryOptions::num_threads).

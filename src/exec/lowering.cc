@@ -113,31 +113,25 @@ class Lowerer {
       }
       case ExprKind::kProduct:
       case ExprKind::kJoin: {
-        // A product is an inner join with no keys (and no predicate). It
-        // is always a hash join: with no key to sort on, a sort-merge
-        // join would materialize the whole product, while the hash join
-        // streams its probe side.
-        node->kind = expr->kind() == ExprKind::kProduct
-                         ? PhysicalKind::kHashJoin
-                         : JoinKind();
+        // A product is an inner join with no keys (and no predicate):
+        // every probe tuple meets the whole build side.
+        node->kind = PhysicalKind::kHashJoin;
         node->variant = JoinVariant::kInner;
         node->keys = expr->keys();
         node->predicate = expr->predicate();
-        if (node->kind == PhysicalKind::kHashJoin) {
-          BRYQL_ASSIGN_OR_RETURN(CostEstimate left_est,
-                                 cost_.Estimate(expr->left()));
-          BRYQL_ASSIGN_OR_RETURN(CostEstimate right_est,
-                                 cost_.Estimate(expr->right()));
-          // Strictly smaller only: ties keep the conventional
-          // build-right so plans stay stable under symmetric inputs.
-          node->build_left = left_est.rows < right_est.rows;
-        }
+        BRYQL_ASSIGN_OR_RETURN(CostEstimate left_est,
+                               cost_.Estimate(expr->left()));
+        BRYQL_ASSIGN_OR_RETURN(CostEstimate right_est,
+                               cost_.Estimate(expr->right()));
+        // Strictly smaller only: ties keep the conventional build-right
+        // so plans stay stable under symmetric inputs.
+        node->build_left = left_est.rows < right_est.rows;
         BRYQL_RETURN_NOT_OK(LowerChildren(expr, node.get()));
         break;
       }
       case ExprKind::kSemiJoin:
       case ExprKind::kAntiJoin: {
-        node->kind = JoinKind();
+        node->kind = PhysicalKind::kHashJoin;
         node->variant = expr->kind() == ExprKind::kAntiJoin
                             ? JoinVariant::kAnti
                             : JoinVariant::kSemi;
@@ -146,7 +140,7 @@ class Lowerer {
         break;
       }
       case ExprKind::kOuterJoin: {
-        node->kind = JoinKind();
+        node->kind = PhysicalKind::kHashJoin;
         node->variant = JoinVariant::kLeftOuter;
         node->keys = expr->keys();
         node->predicate = expr->constraint();
@@ -156,7 +150,7 @@ class Lowerer {
         break;
       }
       case ExprKind::kMarkJoin: {
-        node->kind = JoinKind();
+        node->kind = PhysicalKind::kHashJoin;
         node->variant = JoinVariant::kMark;
         node->keys = expr->keys();
         node->predicate = expr->constraint();
@@ -171,9 +165,8 @@ class Lowerer {
       case ExprKind::kDifference:
       case ExprKind::kIntersect: {
         // Difference/intersection are key-on-whole-tuple complement/semi
-        // joins (paper §3.1), so they follow the configured join
-        // algorithm like the rest of the join family.
-        node->kind = JoinKind();
+        // joins (paper §3.1), run by the same hash join.
+        node->kind = PhysicalKind::kHashJoin;
         node->variant = expr->kind() == ExprKind::kIntersect
                             ? JoinVariant::kSemi
                             : JoinVariant::kAnti;
@@ -225,12 +218,6 @@ class Lowerer {
   }
 
  private:
-  PhysicalKind JoinKind() const {
-    return options_.join_algorithm == ExecOptions::JoinAlgorithm::kSortMerge
-               ? PhysicalKind::kSortMergeJoin
-               : PhysicalKind::kHashJoin;
-  }
-
   Status LowerChildren(const ExprPtr& expr, PhysicalNode* node) {
     node->children.reserve(expr->children().size());
     for (const ExprPtr& child : expr->children()) {
@@ -296,7 +283,6 @@ void AnnotateParallel(const PhysicalNode* cnode, bool on_spine) {
       build->parallel_role = ParallelRole::kBuildShared;
       break;
     }
-    case PhysicalKind::kSortMergeJoin:
     case PhysicalKind::kDivision:
     case PhysicalKind::kGroupDivision:
     case PhysicalKind::kGroupCount:

@@ -16,11 +16,10 @@ namespace bryql {
 ///
 ///   * access paths — σ_{col=value}(scan) over an indexed column becomes
 ///     an IndexScan with the remaining conjuncts as a residual filter;
-///   * join algorithm — the whole join family (inner, semi,
-///     complement/anti, outer, mark) lowers to HashJoin or SortMergeJoin
-///     per ExecOptions::join_algorithm, and difference/intersection lower
-///     to whole-tuple-key semi/anti joins of the same family; a product
-///     is a keyless inner hash join under either algorithm;
+///   * joins — the whole join family (inner, semi, complement/anti,
+///     outer, mark) lowers to HashJoin, difference/intersection lower to
+///     whole-tuple-key semi/anti hash joins, and a product is a keyless
+///     inner hash join;
 ///   * build-side placement — inner hash joins build on whichever input
 ///     the cost model estimates strictly smaller (ties build right);
 ///   * cost annotations — every node carries the cost model's row/cost

@@ -22,8 +22,23 @@ Status HashJoinOp::Open() {
   PhysicalOperator* probe = build_left_ ? right_.get() : left_.get();
   PhysicalOperator* build = build_left_ ? left_.get() : right_.get();
   BRYQL_RETURN_NOT_OK(probe->Open());
-  if (shared_build_ != nullptr) return Status::Ok();  // built by the phase
-  BRYQL_RETURN_NOT_OK(build->Open());
+  if (shared_build_ == nullptr) {  // else built by the phase
+    BRYQL_RETURN_NOT_OK(build->Open());
+    BRYQL_RETURN_NOT_OK(DrainBuild(build));
+  }
+  // An inner or semi join over an empty build side has an empty answer,
+  // so its probe side is never pulled. Parallel workers decide from the
+  // shared build, so every degree stops alike and counters stay equal.
+  // Anti, outer and mark joins emit every probe tuple and stream on.
+  const bool build_empty = shared_build_ != nullptr
+                               ? shared_build_->empty()
+                               : table_.empty() && key_set_.empty();
+  probe_done_ = build_empty && (variant_ == JoinVariant::kInner ||
+                                variant_ == JoinVariant::kSemi);
+  return Status::Ok();
+}
+
+Status HashJoinOp::DrainBuild(PhysicalOperator* build) {
   switch (variant_) {
     case JoinVariant::kInner:
     case JoinVariant::kLeftOuter:

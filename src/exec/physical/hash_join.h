@@ -50,6 +50,7 @@ class HashJoinOp : public PhysicalOperator {
   }
 
  private:
+  Status DrainBuild(PhysicalOperator* build);
   Status NextInner(TupleBatch* out);
   Status NextSemiAnti(TupleBatch* out);
   Status NextOuter(TupleBatch* out);

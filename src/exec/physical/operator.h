@@ -115,8 +115,8 @@ class BatchCursor {
 };
 
 /// Streams a blocking operator's result relation, computed in full at
-/// Open: sort-merge joins, divisions, per-group divisions and group
-/// counts share this output path.
+/// Open: divisions, per-group divisions and group counts share this
+/// output path.
 class BlockingResultOp : public PhysicalOperator {
  public:
   Status NextBatch(TupleBatch* out) final {
@@ -147,8 +147,8 @@ enum class DrainAdmission {
 };
 
 /// The one drain loop of every blocking edge: hash builds (serial and
-/// parallel shared), division, group-count and sort-merge inputs, and
-/// the parallel final merge. Pulls `child` to exhaustion, calling
+/// parallel shared), division and group-count inputs, and the parallel
+/// final merge. Pulls `child` to exhaustion, calling
 /// `insert(tuple)` → Result<bool> (fresh, or an error that aborts the
 /// drain); `failpoint` fires per tuple. Returns the governor's status at
 /// exhaustion, so a trip latched anywhere below surfaces here.

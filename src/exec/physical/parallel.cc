@@ -129,7 +129,6 @@ Status PlanRuntime::PrepareSpine(const PhysicalPlanPtr& node) {
       return PrepareSpine(node->build_left ? node->children[1]
                                            : node->children[0]);
     }
-    case PhysicalKind::kSortMergeJoin:
     case PhysicalKind::kDivision:
     case PhysicalKind::kGroupDivision:
     case PhysicalKind::kGroupCount: {

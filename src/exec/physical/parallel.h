@@ -119,6 +119,13 @@ class SharedJoinBuild {
     const Shard& shard = shards_[ShardOf(key)];
     return shard.keys.count(key) != 0;
   }
+  /// True when the build side produced no tuple.
+  bool empty() const {
+    for (const Shard& shard : shards_) {
+      if (!shard.table.empty() || !shard.keys.empty()) return false;
+    }
+    return true;
+  }
 
  private:
   struct Shard {

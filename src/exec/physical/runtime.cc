@@ -16,7 +16,6 @@
 #include "exec/physical/parallel.h"
 #include "exec/physical/scan.h"
 #include "exec/physical/set_ops.h"
-#include "exec/physical/sort_merge_join.h"
 
 namespace bryql {
 namespace {
@@ -245,15 +244,6 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
           std::move(inputs[0]), std::move(inputs[1]), node->keys,
           node->variant, node->predicate, node->build_left, node->pad_arity,
           ctx_, shared_build));
-      break;
-    }
-    case PhysicalKind::kSortMergeJoin: {
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr left, input(0));
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr right, input(1));
-      op = PhysicalOpPtr(new SortMergeJoinOp(
-          std::move(left), std::move(right), node->children[0]->arity,
-          node->children[1]->arity, node->keys, node->variant,
-          node->predicate, ctx_));
       break;
     }
     case PhysicalKind::kDivision: {

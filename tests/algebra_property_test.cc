@@ -10,22 +10,10 @@
 
 #include "exec/executor.h"
 #include "storage/builder.h"
+#include "random_data.h"
 
 namespace bryql {
 namespace {
-
-Relation RandomRelation(std::mt19937* rng, size_t arity, int domain,
-                        int rows) {
-  Relation rel(arity);
-  for (int i = 0; i < rows; ++i) {
-    std::vector<Value> values;
-    for (size_t j = 0; j < arity; ++j) {
-      values.push_back(Value::Int(static_cast<int64_t>((*rng)() % domain)));
-    }
-    rel.Insert(Tuple(std::move(values)));
-  }
-  return rel;
-}
 
 class AlgebraPropertyTest : public ::testing::TestWithParam<unsigned> {
  protected:

@@ -38,9 +38,8 @@ Database TwoTables() {
   return db;
 }
 
-PhysicalPlanPtr Lower(const Database& db, const ExprPtr& expr,
-                      ExecOptions options = {}) {
-  auto plan = LowerPlan(db, options, expr);
+PhysicalPlanPtr Lower(const Database& db, const ExprPtr& expr) {
+  auto plan = LowerPlan(db, ExecOptions{}, expr);
   EXPECT_TRUE(plan.ok()) << plan.status();
   return plan.ok() ? *plan : nullptr;
 }
@@ -116,29 +115,6 @@ TEST(LoweringTest, CostModelPutsSmallerInputOnBuildSide) {
   EXPECT_FALSE(tie->build_left);
 }
 
-TEST(LoweringTest, JoinAlgorithmOptionSelectsSortMerge) {
-  Database db = TwoTables();
-  ExecOptions options;
-  options.join_algorithm = ExecOptions::JoinAlgorithm::kSortMerge;
-  std::vector<JoinKey> keys = {{0, 0}};
-  auto left = Expr::Scan("small");
-  auto right = Expr::Scan("big");
-  const ExprPtr exprs[] = {
-      Expr::Join(left, right, keys, nullptr),
-      Expr::SemiJoin(left, right, keys),
-      Expr::AntiJoin(left, right, keys),
-      Expr::OuterJoin(left, right, keys, nullptr),
-      Expr::MarkJoin(left, right, keys, nullptr),
-      Expr::Difference(left, left),
-      Expr::Intersect(left, left),
-  };
-  for (const ExprPtr& expr : exprs) {
-    auto plan = Lower(db, expr, options);
-    ASSERT_NE(plan, nullptr);
-    EXPECT_EQ(plan->kind, PhysicalKind::kSortMergeJoin) << plan->Label();
-  }
-}
-
 TEST(LoweringTest, DifferenceLowersToWholeTupleAntiJoin) {
   Database db = TwoTables();
   auto plan =
@@ -153,32 +129,24 @@ TEST(LoweringTest, DifferenceLowersToWholeTupleAntiJoin) {
   EXPECT_EQ(plan->keys[1].right, 1u);
 }
 
-/// A product is a keyless inner hash join under either join algorithm
-/// (sort-merge has no key to sort on), building on the smaller input.
+/// A product is a keyless inner hash join, building on the smaller input.
 TEST(LoweringTest, ProductLowersToKeylessInnerHashJoin) {
   Database db = TwoTables();
-  for (auto algorithm : {ExecOptions::JoinAlgorithm::kHash,
-                         ExecOptions::JoinAlgorithm::kSortMerge}) {
-    ExecOptions options;
-    options.join_algorithm = algorithm;
-    for (bool small_left : {true, false}) {
-      const ExprPtr small = Expr::Scan("small");
-      const ExprPtr big = Expr::Scan("big");
-      auto plan = Lower(db,
-                        small_left ? Expr::Product(small, big)
-                                   : Expr::Product(big, small),
-                        options);
-      ASSERT_NE(plan, nullptr);
-      EXPECT_EQ(plan->kind, PhysicalKind::kHashJoin) << plan->Label();
-      EXPECT_EQ(plan->variant, JoinVariant::kInner);
-      EXPECT_TRUE(plan->keys.empty());
-      EXPECT_EQ(plan->predicate, nullptr);
-      EXPECT_EQ(plan->build_left, small_left);
-      EXPECT_EQ(plan->arity, 4u);
-      EXPECT_EQ(plan->Label(), small_left
-                                   ? "HashJoin(inner, build=left, keys=[])"
-                                   : "HashJoin(inner, build=right, keys=[])");
-    }
+  for (bool small_left : {true, false}) {
+    const ExprPtr small = Expr::Scan("small");
+    const ExprPtr big = Expr::Scan("big");
+    auto plan = Lower(db, small_left ? Expr::Product(small, big)
+                                     : Expr::Product(big, small));
+    ASSERT_NE(plan, nullptr);
+    EXPECT_EQ(plan->kind, PhysicalKind::kHashJoin) << plan->Label();
+    EXPECT_EQ(plan->variant, JoinVariant::kInner);
+    EXPECT_TRUE(plan->keys.empty());
+    EXPECT_EQ(plan->predicate, nullptr);
+    EXPECT_EQ(plan->build_left, small_left);
+    EXPECT_EQ(plan->arity, 4u);
+    EXPECT_EQ(plan->Label(), small_left
+                                 ? "HashJoin(inner, build=left, keys=[])"
+                                 : "HashJoin(inner, build=right, keys=[])");
   }
 }
 

@@ -358,6 +358,56 @@ TEST(ParallelBooleanRootTest, TruthTupleIsNotAdmittedAtAnyDegree) {
 }
 
 // ---------------------------------------------------------------------
+// Empty build sides: an inner or semi join whose build side is empty has
+// an empty answer, so it never pulls its probe side — at any degree, with
+// equal counters.
+
+/// A university whose professor relation is empty.
+Database NoProfessors() {
+  UniversityConfig config = SmallConfig(1);
+  config.students = 3000;
+  Database db = MakeUniversity(config);
+  db.Put("professor", Relation(1));
+  return db;
+}
+
+TEST(EmptyBuildSideTest, ProductWithEmptyBuildSideSkipsItsProbeSide) {
+  Database db = NoProfessors();
+  QueryProcessor qp(&db);
+  const std::string text = "{ x, y | student(x) & professor(y) }";
+  std::vector<size_t> scanned;
+  for (size_t threads : {0u, 2u, 4u}) {
+    auto run = qp.Run(text, Strategy::kBry, WithThreads(threads));
+    ASSERT_TRUE(run.ok()) << "@" << threads << ": " << run.status();
+    EXPECT_TRUE(run->answer.relation.empty()) << "@" << threads;
+    EXPECT_EQ(run->stats.hash_probes, 0u) << "@" << threads;
+    scanned.push_back(run->stats.tuples_scanned);
+  }
+  EXPECT_EQ(scanned[0], 0u);  // the student side is never streamed
+  EXPECT_EQ(scanned[1], scanned[0]);
+  EXPECT_EQ(scanned[2], scanned[0]);
+}
+
+TEST(EmptyBuildSideTest, SemiJoinWithEmptyBuildSideSkipsItsProbeSide) {
+  Database db = NoProfessors();
+  const ExprPtr expr =
+      Expr::SemiJoin(Expr::Scan("student"), Expr::Scan("professor"), {{0, 0}});
+  std::vector<size_t> scanned;
+  for (size_t threads : {0u, 2u, 4u}) {
+    ResourceGovernor governor(WithThreads(threads));
+    Executor executor(&db, {}, &governor);
+    auto rel = executor.Evaluate(expr);
+    ASSERT_TRUE(rel.ok()) << "@" << threads << ": " << rel.status();
+    EXPECT_TRUE(rel->empty()) << "@" << threads;
+    EXPECT_EQ(executor.stats().hash_probes, 0u) << "@" << threads;
+    scanned.push_back(executor.stats().tuples_scanned);
+  }
+  EXPECT_EQ(scanned[0], 0u);
+  EXPECT_EQ(scanned[1], scanned[0]);
+  EXPECT_EQ(scanned[2], scanned[0]);
+}
+
+// ---------------------------------------------------------------------
 // Concurrent QueryProcessor use: one processor, one plan cache, many
 // threads. TSan (scripts/check.sh phase 3) turns any race here into a
 // failure; the assertions below catch lost counter updates.

@@ -6,40 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
-
 #include "core/query_processor.h"
 #include "storage/builder.h"
+#include "random_data.h"
 
 namespace bryql {
 namespace {
-
-/// Random instances of the R(x,y), S(x,y,z), T(y,z), G(x,y,z) relations
-/// that Proposition 4 is stated over.
-Database RandomDb(unsigned seed, int domain, double density) {
-  std::mt19937 rng(seed);
-  std::uniform_int_distribution<int> value(0, domain - 1);
-  std::bernoulli_distribution keep(density);
-  Database db;
-  auto fill = [&](const char* name, size_t arity, int rows) {
-    Relation rel(arity);
-    for (int i = 0; i < rows; ++i) {
-      if (!keep(rng)) continue;
-      std::vector<Value> values;
-      for (size_t j = 0; j < arity; ++j) {
-        values.push_back(Value::Int(value(rng)));
-      }
-      rel.Insert(Tuple(std::move(values)));
-    }
-    db.Put(name, std::move(rel));
-  };
-  fill("R", 2, 30);
-  fill("S", 3, 40);
-  fill("T", 2, 20);
-  fill("T1", 1, 8);
-  fill("G", 3, 40);
-  return db;
-}
 
 // The five patterns of Proposition 4, as open queries in x.
 const char* kCase1 =
@@ -62,7 +34,7 @@ const char* kCase5u =
 class Proposition4Test : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(Proposition4Test, AllCasesMatchNestedLoopReference) {
-  Database db = RandomDb(GetParam(), /*domain=*/5, /*density=*/0.7);
+  Database db = Proposition4Db(GetParam(), /*domain=*/5, /*density=*/0.7);
   QueryProcessor qp(&db);
   for (const char* text :
        {kCase1, kCase2a, kCase2b, kCase3, kCase4, kCase5, kCase5u}) {
@@ -93,7 +65,7 @@ bool PlanContains(const ExprPtr& e, ExprKind kind) {
 }
 
 TEST(Proposition4Shapes, OnlyCase5MayDivide) {
-  Database db = RandomDb(1, 5, 0.7);
+  Database db = Proposition4Db(1, 5, 0.7);
   QueryProcessor qp(&db);
   for (const char* text :
        {kCase1, kCase2a, kCase2b, kCase3, kCase4, kCase5}) {
@@ -126,7 +98,7 @@ TEST(Proposition4Shapes, OnlyCase5MayDivide) {
 }
 
 TEST(Proposition4Shapes, NegatedCasesUseComplementJoin) {
-  Database db = RandomDb(2, 5, 0.7);
+  Database db = Proposition4Db(2, 5, 0.7);
   QueryProcessor qp(&db);
   for (const char* text : {kCase2a, kCase2b, kCase3, kCase4, kCase5}) {
     auto exec = qp.Explain(text, Strategy::kBry);
@@ -138,7 +110,7 @@ TEST(Proposition4Shapes, NegatedCasesUseComplementJoin) {
 }
 
 TEST(Proposition4Shapes, PositiveCaseUsesSemiJoinOnly) {
-  Database db = RandomDb(3, 5, 0.7);
+  Database db = Proposition4Db(3, 5, 0.7);
   QueryProcessor qp(&db);
   auto exec = qp.Explain(kCase1, Strategy::kBry);
   ASSERT_TRUE(exec.ok());
@@ -148,7 +120,7 @@ TEST(Proposition4Shapes, PositiveCaseUsesSemiJoinOnly) {
 }
 
 TEST(Proposition4Shapes, ClassicalUsesProductAndDivision) {
-  Database db = RandomDb(4, 5, 0.7);
+  Database db = Proposition4Db(4, 5, 0.7);
   QueryProcessor qp(&db);
   auto exec = qp.Explain(kCase5, Strategy::kClassical);
   ASSERT_TRUE(exec.ok());

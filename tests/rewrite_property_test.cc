@@ -13,115 +13,10 @@
 #include "nestedloop/nested_loop.h"
 #include "rewrite/rewriter.h"
 #include "storage/builder.h"
+#include "random_data.h"
 
 namespace bryql {
 namespace {
-
-/// Generates random closed formulas over unary p1/p2, binary r1/r2.
-/// Quantifiers always introduce a range atom, so the results are formulas
-/// with restricted quantifications (evaluable by the reference).
-class FormulaGenerator {
- public:
-  explicit FormulaGenerator(unsigned seed) : rng_(seed) {}
-
-  FormulaPtr Closed() {
-    var_counter_ = 0;
-    return Quantified(3, {});
-  }
-
- private:
-  using Vars = std::vector<std::string>;
-
-  size_t Pick(size_t n) { return rng_() % n; }
-  bool Coin(double p) {
-    return std::uniform_real_distribution<double>(0, 1)(rng_) < p;
-  }
-
-  std::string FreshVar() { return "v" + std::to_string(var_counter_++); }
-
-  Term RandomTerm(const Vars& scope) {
-    if (!scope.empty() && Coin(0.8)) {
-      return Term::Var(scope[Pick(scope.size())]);
-    }
-    static const char* constants[] = {"a", "b", "c"};
-    return Term::Const(Value::String(constants[Pick(3)]));
-  }
-
-  FormulaPtr RandomAtom(const Vars& scope) {
-    if (Coin(0.5)) {
-      const char* pred = Coin(0.5) ? "p1" : "p2";
-      return Formula::Atom(pred, {RandomTerm(scope)});
-    }
-    const char* pred = Coin(0.5) ? "r1" : "r2";
-    return Formula::Atom(pred, {RandomTerm(scope), RandomTerm(scope)});
-  }
-
-  /// A quantified subformula whose variable has a range.
-  FormulaPtr Quantified(int depth, const Vars& scope) {
-    std::string v = FreshVar();
-    Vars inner = scope;
-    inner.push_back(v);
-    FormulaPtr range =
-        Formula::Atom(Coin(0.5) ? "p1" : "p2", {Term::Var(v)});
-    FormulaPtr body = Body(depth - 1, inner);
-    if (Coin(0.5)) {
-      return Formula::Exists({v}, Formula::And(range, body));
-    }
-    return Formula::Forall({v}, Formula::Implies(range, body));
-  }
-
-  /// A boolean body over the variables in scope.
-  FormulaPtr Body(int depth, const Vars& scope) {
-    if (depth <= 0 || Coin(0.3)) {
-      FormulaPtr atom = RandomAtom(scope);
-      return Coin(0.3) ? Formula::Not(atom) : atom;
-    }
-    switch (Pick(6)) {
-      case 0:
-        return Formula::And(Body(depth - 1, scope), Body(depth - 1, scope));
-      case 1:
-        return Formula::Or(Body(depth - 1, scope), Body(depth - 1, scope));
-      case 2:
-        return Formula::Not(Body(depth - 1, scope));
-      case 3:
-        return Quantified(depth, scope);
-      case 4:
-        return Formula::Iff(Body(depth - 1, scope), Body(depth - 1, scope));
-      default:
-        return Formula::Implies(Body(depth - 1, scope),
-                                Body(depth - 1, scope));
-    }
-  }
-
-  std::mt19937 rng_;
-  size_t var_counter_ = 0;
-};
-
-Database RandomDb(unsigned seed) {
-  std::mt19937 rng(seed);
-  const char* domain[] = {"a", "b", "c", "d"};
-  Database db;
-  for (const char* name : {"p1", "p2"}) {
-    Relation rel(1);
-    for (int i = 0; i < 4; ++i) {
-      if (rng() % 2) rel.Insert(Tuple({Value::String(domain[i])}));
-    }
-    db.Put(name, std::move(rel));
-  }
-  for (const char* name : {"r1", "r2"}) {
-    Relation rel(2);
-    for (int i = 0; i < 4; ++i) {
-      for (int j = 0; j < 4; ++j) {
-        if (rng() % 3 == 0) {
-          rel.Insert(
-              Tuple({Value::String(domain[i]), Value::String(domain[j])}));
-        }
-      }
-    }
-    db.Put(name, std::move(rel));
-  }
-  return db;
-}
 
 class RewritePropertyTest : public ::testing::TestWithParam<unsigned> {};
 
@@ -178,7 +73,7 @@ TEST_P(RewritePropertyTest, NormalizationPreservesSemantics) {
     auto norm = Normalize(f);
     ASSERT_TRUE(norm.ok());
     for (unsigned db_seed = 0; db_seed < 3; ++db_seed) {
-      Database db = RandomDb(db_seed * 97 + GetParam());
+      Database db = FormulaDb(db_seed * 97 + GetParam());
       NestedLoopEvaluator eval(&db);
       auto original = eval.EvaluateClosed(f);
       auto canonical = eval.EvaluateClosed(norm->formula);
