@@ -57,6 +57,10 @@ class TupleBatch {
 
   void Add(Tuple tuple) { *AddSlot() = std::move(tuple); }
 
+  /// Gives the last slot back (a candidate that failed a residual); the
+  /// slot keeps its storage for the next AddSlot.
+  void DropLast() { --size_; }
+
   const Tuple& operator[](size_t i) const { return tuples_[i]; }
   Tuple& operator[](size_t i) { return tuples_[i]; }
 

@@ -36,14 +36,22 @@ Status ProjectOp::NextBatch(TupleBatch* out) {
       pos_ = 0;
     }
     while (pos_ < in_.size() && !out->full()) {
-      Tuple projected = in_[pos_++].Project(columns_);
-      const bool fresh = shared_seen_ != nullptr
-                             ? shared_seen_->Insert(projected)
-                             : seen_.insert(projected).second;
+      // The projection is hashed and compared in place; only a fresh one
+      // is built, stored once in the seen set and copied into its slot.
+      const Tuple& t = in_[pos_++];
+      bool fresh = false;
+      if (shared_seen_ != nullptr) {
+        BRYQL_ASSIGN_OR_RETURN(
+            fresh, shared_seen_->InsertProjection(
+                       t, columns_,
+                       [out](const Tuple& stored) { *out->AddSlot() = stored; }));
+      } else {
+        BRYQL_ASSIGN_OR_RETURN(fresh, seen_.InsertProjection(t, columns_));
+        if (fresh) *out->AddSlot() = seen_.rows().back();
+      }
       if (fresh) {
         if (!ctx_.governor->AdmitMaterialize()) return ctx_.governor->status();
         ++ctx_.stats->tuples_materialized;
-        out->Add(std::move(projected));
       } else if (!ctx_.governor->Tick()) {
         return ctx_.governor->status();
       }

@@ -32,8 +32,10 @@ class FilterOp : public PhysicalOperator {
 };
 
 /// π_cols with streaming dedup (set semantics: duplicates collapse). Each
-/// fresh output tuple is one dedup-set insertion and therefore one
-/// materialization admission.
+/// fresh output tuple is one dedup insertion and therefore one
+/// materialization admission. The dedup set is a Relation: the projection
+/// is hashed and compared in place, built only when fresh, stored once
+/// and copy-assigned into its output slot.
 ///
 /// With a shared seen-set (parallel workers) freshness is decided against
 /// the global ShardedTupleSet, so the same tuple reached through two
@@ -44,7 +46,7 @@ class ProjectOp : public PhysicalOperator {
   ProjectOp(PhysicalOpPtr child, std::vector<size_t> columns,
             PhysicalContext ctx, ShardedTupleSet* shared_seen = nullptr)
       : child_(std::move(child)), columns_(std::move(columns)), ctx_(ctx),
-        shared_seen_(shared_seen), in_(1) {}
+        shared_seen_(shared_seen), in_(1), seen_(columns_.size()) {}
   Status Open() override { return child_->Open(); }
   Status NextBatch(TupleBatch* out) override;
   void Close() override { child_->Close(); }
@@ -56,7 +58,7 @@ class ProjectOp : public PhysicalOperator {
   ShardedTupleSet* shared_seen_;
   TupleBatch in_;
   size_t pos_ = 0;
-  TupleSet seen_;
+  Relation seen_;
 };
 
 }  // namespace bryql

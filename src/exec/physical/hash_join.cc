@@ -9,11 +9,17 @@ HashJoinOp::HashJoinOp(PhysicalOpPtr left, PhysicalOpPtr right,
                        PredicatePtr predicate, bool build_left,
                        size_t pad_arity, PhysicalContext ctx,
                        const SharedJoinBuild* shared_build)
-    : left_(std::move(left)), right_(std::move(right)),
-      keys_(std::move(keys)), variant_(variant),
+    : left_(std::move(left)), right_(std::move(right)), variant_(variant),
       predicate_(std::move(predicate)), build_left_(build_left),
       pad_arity_(pad_arity), ctx_(ctx), shared_build_(shared_build),
-      probe_cursor_(build_left ? right_.get() : left_.get()) {}
+      probe_cursor_(build_left ? right_.get() : left_.get()),
+      key_set_(keys.size()) {
+  for (const JoinKey& k : keys) {
+    build_columns_.push_back(build_left ? k.left : k.right);
+    probe_columns_.push_back(build_left ? k.right : k.left);
+  }
+  table_ = JoinTable(build_columns_);
+}
 
 Status HashJoinOp::Open() {
   // The probe side opens first, the build side is drained second — a
@@ -44,7 +50,8 @@ Status HashJoinOp::DrainBuild(PhysicalOperator* build) {
     case JoinVariant::kLeftOuter:
       return Drain(build, ctx_, "exec.hash.insert", DrainAdmission::kEvery,
                    [this](const Tuple& t) -> Result<bool> {
-                     table_[JoinKeyOf(t, keys_, build_left_)].push_back(t);
+                     BRYQL_RETURN_NOT_OK(
+                         table_.Insert(t, t.HashOf(build_columns_)));
                      return true;
                    });
     case JoinVariant::kSemi:
@@ -52,22 +59,28 @@ Status HashJoinOp::DrainBuild(PhysicalOperator* build) {
     case JoinVariant::kMark:
       return Drain(build, ctx_, "exec.hash.insert", DrainAdmission::kFresh,
                    [this](const Tuple& t) -> Result<bool> {
-                     return key_set_.insert(JoinKeyOf(t, keys_, build_left_))
-                         .second;
+                     return key_set_.InsertProjection(t, build_columns_);
                    });
   }
   return Status::Internal("unknown join variant");
 }
 
-const std::vector<Tuple>* HashJoinOp::FindMatches(const Tuple& key) const {
-  if (shared_build_ != nullptr) return shared_build_->Find(key);
-  auto it = table_.find(key);
-  return it == table_.end() ? nullptr : &it->second;
+void HashJoinOp::ProbeTable() {
+  ++ctx_.stats->hash_probes;
+  ctx_.stats->comparisons += probe_columns_.size();
+  const size_t hash = current_probe_.HashOf(probe_columns_);
+  match_table_ =
+      shared_build_ != nullptr ? &shared_build_->table(hash) : &table_;
+  match_row_ = match_table_->Find(current_probe_, probe_columns_, hash);
 }
 
-bool HashJoinOp::ContainsKey(const Tuple& key) const {
-  if (shared_build_ != nullptr) return shared_build_->Contains(key);
-  return key_set_.count(key) != 0;
+bool HashJoinOp::ProbeKeys() {
+  ++ctx_.stats->hash_probes;
+  ctx_.stats->comparisons += probe_columns_.size();
+  const size_t hash = current_probe_.HashOf(probe_columns_);
+  const Relation& keys =
+      shared_build_ != nullptr ? shared_build_->keys(hash) : key_set_;
+  return keys.ContainsProjection(current_probe_, probe_columns_, hash);
 }
 
 Status HashJoinOp::NextBatch(TupleBatch* out) {
@@ -89,18 +102,22 @@ Status HashJoinOp::NextBatch(TupleBatch* out) {
 Status HashJoinOp::NextInner(TupleBatch* out) {
   while (!out->full() && !probe_done_) {
     if (!ctx_.governor->Tick()) return ctx_.governor->status();
-    if (matches_ != nullptr && match_index_ < matches_->size()) {
-      const Tuple& partner = (*matches_)[match_index_++];
+    if (match_row_ != JoinTable::kEnd) {
+      const Tuple& partner = match_table_->row(match_row_);
+      match_row_ = match_table_->next(match_row_);
       // Output columns are always left ++ right, whichever side built.
-      Tuple candidate = build_left_ ? partner.Concat(current_probe_)
-                                    : current_probe_.Concat(partner);
-      if (predicate_ == nullptr ||
-          predicate_->Eval(candidate, &ctx_.stats->comparisons)) {
-        out->Add(std::move(candidate));
+      Tuple* candidate = out->AddSlot();
+      if (build_left_) {
+        candidate->AssignConcat(partner, current_probe_);
+      } else {
+        candidate->AssignConcat(current_probe_, partner);
+      }
+      if (predicate_ != nullptr &&
+          !predicate_->Eval(*candidate, &ctx_.stats->comparisons)) {
+        out->DropLast();
       }
       continue;
     }
-    matches_ = nullptr;
     bool have = false;
     BRYQL_RETURN_NOT_OK(
         probe_cursor_.Next(&current_probe_, &have, out->capacity()));
@@ -108,14 +125,7 @@ Status HashJoinOp::NextInner(TupleBatch* out) {
       probe_done_ = true;
       break;
     }
-    ++ctx_.stats->hash_probes;
-    ctx_.stats->comparisons += keys_.size();
-    const std::vector<Tuple>* found = FindMatches(
-        JoinKeyOf(current_probe_, keys_, /*left=*/!build_left_));
-    if (found != nullptr) {
-      matches_ = found;
-      match_index_ = 0;
-    }
+    ProbeTable();
   }
   return Status::Ok();
 }
@@ -129,11 +139,7 @@ Status HashJoinOp::NextSemiAnti(TupleBatch* out) {
       probe_done_ = true;
       break;
     }
-    ++ctx_.stats->hash_probes;
-    ctx_.stats->comparisons += keys_.size();
-    bool found =
-        ContainsKey(JoinKeyOf(current_probe_, keys_, /*left=*/true));
-    if (found != (variant_ == JoinVariant::kAnti)) {
+    if (ProbeKeys() != (variant_ == JoinVariant::kAnti)) {
       *out->AddSlot() = current_probe_;
     }
   }
@@ -142,11 +148,12 @@ Status HashJoinOp::NextSemiAnti(TupleBatch* out) {
 
 Status HashJoinOp::NextOuter(TupleBatch* out) {
   while (!out->full() && !probe_done_) {
-    if (matches_ != nullptr && match_index_ < matches_->size()) {
-      out->Add(current_probe_.Concat((*matches_)[match_index_++]));
+    if (match_row_ != JoinTable::kEnd) {
+      out->AddSlot()->AssignConcat(current_probe_,
+                                   match_table_->row(match_row_));
+      match_row_ = match_table_->next(match_row_);
       continue;
     }
-    matches_ = nullptr;
     bool have = false;
     BRYQL_RETURN_NOT_OK(
         probe_cursor_.Next(&current_probe_, &have, out->capacity()));
@@ -156,21 +163,12 @@ Status HashJoinOp::NextOuter(TupleBatch* out) {
     }
     // Definition 7 constraint: rows failing it are not probed and pad
     // directly with ∅.
-    if (predicate_ != nullptr &&
-        !predicate_->Eval(current_probe_, &ctx_.stats->comparisons)) {
-      out->Add(PadWithNulls(current_probe_));
-      continue;
+    if (predicate_ == nullptr ||
+        predicate_->Eval(current_probe_, &ctx_.stats->comparisons)) {
+      ProbeTable();
+      if (match_row_ != JoinTable::kEnd) continue;
     }
-    ++ctx_.stats->hash_probes;
-    ctx_.stats->comparisons += keys_.size();
-    const std::vector<Tuple>* found =
-        FindMatches(JoinKeyOf(current_probe_, keys_, /*left=*/true));
-    if (found != nullptr) {
-      matches_ = found;
-      match_index_ = 0;
-      continue;
-    }
-    out->Add(PadWithNulls(current_probe_));
+    out->AddSlot()->AssignPadded(current_probe_, pad_arity_, Value::Null());
   }
   return Status::Ok();
 }
@@ -184,23 +182,14 @@ Status HashJoinOp::NextMark(TupleBatch* out) {
       probe_done_ = true;
       break;
     }
-    bool marked = false;
-    if (predicate_ == nullptr ||
-        predicate_->Eval(current_probe_, &ctx_.stats->comparisons)) {
-      ++ctx_.stats->hash_probes;
-      ctx_.stats->comparisons += keys_.size();
-      marked = ContainsKey(JoinKeyOf(current_probe_, keys_, /*left=*/true));
-    }
-    current_probe_.Append(marked ? Value::Mark() : Value::Null());
-    *out->AddSlot() = current_probe_;
+    const bool marked =
+        (predicate_ == nullptr ||
+         predicate_->Eval(current_probe_, &ctx_.stats->comparisons)) &&
+        ProbeKeys();
+    out->AddSlot()->AssignPadded(current_probe_, 1,
+                                 marked ? Value::Mark() : Value::Null());
   }
   return Status::Ok();
-}
-
-Tuple HashJoinOp::PadWithNulls(const Tuple& t) const {
-  Tuple padded = t;
-  for (size_t i = 0; i < pad_arity_; ++i) padded.Append(Value::Null());
-  return padded;
 }
 
 }  // namespace bryql

@@ -6,6 +6,7 @@
 
 #include "algebra/physical_plan.h"
 #include "algebra/predicate.h"
+#include "exec/physical/join_table.h"
 #include "exec/physical/operator.h"
 #include "storage/relation.h"
 
@@ -19,9 +20,12 @@ class SharedJoinBuild;
 /// kMark). A cartesian product is the inner join with no keys: every
 /// probe tuple meets the whole build side, and since NextInner ticks per
 /// candidate, deadlines bite inside the quadratic loop. The build side
-/// is drained into a hash table at Open (a key-multimap for variants that
-/// need partner values, a key set for pure membership tests); the probe
-/// side streams in batches.
+/// is drained at Open into a JoinTable (rows stored once, chained per key
+/// in build order) for variants that need partner values, or into a
+/// Relation of key columns for pure membership tests; the probe side
+/// streams in batches. Probe keys are hashed and compared in place over
+/// the probe tuple's key columns, and every output is assembled directly
+/// in a warm TupleBatch slot.
 ///
 /// `build_left` (inner joins only) puts the left input on the build side
 /// when the lowering's cost model estimates it smaller; output column
@@ -55,13 +59,18 @@ class HashJoinOp : public PhysicalOperator {
   Status NextSemiAnti(TupleBatch* out);
   Status NextOuter(TupleBatch* out);
   Status NextMark(TupleBatch* out);
-  Tuple PadWithNulls(const Tuple& t) const;
-  const std::vector<Tuple>* FindMatches(const Tuple& key) const;
-  bool ContainsKey(const Tuple& key) const;
+  /// Counts one probe of current_probe_ and starts walking its chain of
+  /// partners (match_row_ is kEnd when there are none).
+  void ProbeTable();
+  /// Counts one probe of current_probe_ against the key set.
+  bool ProbeKeys();
 
   PhysicalOpPtr left_;
   PhysicalOpPtr right_;
-  std::vector<JoinKey> keys_;
+  /// The key columns of the build rows and of the probe tuples, paired
+  /// position by position.
+  std::vector<size_t> build_columns_;
+  std::vector<size_t> probe_columns_;
   JoinVariant variant_;
   PredicatePtr predicate_;
   bool build_left_;
@@ -70,11 +79,13 @@ class HashJoinOp : public PhysicalOperator {
   const SharedJoinBuild* shared_build_;
 
   BatchCursor probe_cursor_;
-  TupleMultiMap table_;   // kInner, kLeftOuter
-  TupleSet key_set_;      // kSemi, kAnti, kMark
+  JoinTable table_;  // kInner, kLeftOuter
+  Relation key_set_;  // kSemi, kAnti, kMark
   Tuple current_probe_;
-  const std::vector<Tuple>* matches_ = nullptr;
-  size_t match_index_ = 0;
+  /// The table holding current_probe_'s partners and the next one to
+  /// emit, or kEnd.
+  const JoinTable* match_table_ = nullptr;
+  uint32_t match_row_ = JoinTable::kEnd;
   bool probe_done_ = false;
 };
 

@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "algebra/expr.h"  // JoinKey
 #include "common/batch.h"
 #include "common/failpoints.h"
 #include "common/governor.h"
@@ -70,18 +69,6 @@ class PhysicalOperator {
 using PhysicalOpPtr = std::unique_ptr<PhysicalOperator>;
 
 using TupleSet = std::unordered_set<Tuple, TupleHash>;
-using TupleMultiMap = std::unordered_map<Tuple, std::vector<Tuple>, TupleHash>;
-
-/// The key columns of `t` for one side of an equi-join ("i = j" in the
-/// paper's conj notation).
-inline Tuple JoinKeyOf(const Tuple& t, const std::vector<JoinKey>& keys,
-                       bool left) {
-  std::vector<Value> values;
-  values.reserve(keys.size());
-  for (const JoinKey& k : keys) values.push_back(t.at(left ? k.left : k.right));
-  return Tuple(std::move(values));
-}
-
 /// Adapts a batched child to one-tuple-at-a-time pulls, buffering one
 /// batch internally. `capacity` is forwarded to the child per refill, so a
 /// capacity-1 consumer induces capacity-1 pulls all the way down.

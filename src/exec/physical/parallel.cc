@@ -52,28 +52,24 @@ Status PlanRuntime::BuildJoinShared(const PhysicalPlanPtr& node) {
   BRYQL_RETURN_NOT_OK(PrepareSpine(build_child));
   const bool table_mode = node->variant == JoinVariant::kInner ||
                           node->variant == JoinVariant::kLeftOuter;
-  auto owned = std::make_unique<SharedJoinBuild>();
+  std::vector<size_t> build_columns;
+  for (const JoinKey& k : node->keys) {
+    build_columns.push_back(node->build_left ? k.left : k.right);
+  }
+  auto owned =
+      std::make_unique<SharedJoinBuild>(std::move(build_columns), table_mode);
   SharedJoinBuild* build = owned.get();
   registry_->builds.emplace(node.get(), std::move(owned));
-  const std::vector<JoinKey>& keys = node->keys;
-  const bool keys_left = node->build_left;
   // HashJoinOp::Open's drains, landing in the shared sharded structure —
   // so build-side materialize totals match serial.
   return RunPhase(
       build_child,
       [&](size_t, PhysicalOperator* op, PhysicalContext& ctx,
           SharedBudget*) -> Status {
-        if (table_mode) {
-          return Drain(op, ctx, "exec.hash.insert", DrainAdmission::kEvery,
-                       [&](const Tuple& t) -> Result<bool> {
-                         build->InsertTable(JoinKeyOf(t, keys, keys_left), t);
-                         return true;
-                       });
-        }
-        return Drain(op, ctx, "exec.hash.insert", DrainAdmission::kFresh,
-                     [&](const Tuple& t) -> Result<bool> {
-                       return build->InsertKey(JoinKeyOf(t, keys, keys_left));
-                     });
+        return Drain(op, ctx, "exec.hash.insert",
+                     table_mode ? DrainAdmission::kEvery
+                                : DrainAdmission::kFresh,
+                     [&](const Tuple& t) { return build->Insert(t); });
       });
 }
 
@@ -114,13 +110,13 @@ Status PlanRuntime::PrepareSpine(const PhysicalPlanPtr& node) {
     case PhysicalKind::kFilter:
       return PrepareSpine(node->children[0]);
     case PhysicalKind::kProject: {
-      registry_->seen_sets.emplace(node.get(),
-                                   std::make_unique<ShardedTupleSet>());
+      registry_->seen_sets.emplace(
+          node.get(), std::make_unique<ShardedTupleSet>(node->arity));
       return PrepareSpine(node->children[0]);
     }
     case PhysicalKind::kUnion: {
-      registry_->seen_sets.emplace(node.get(),
-                                   std::make_unique<ShardedTupleSet>());
+      registry_->seen_sets.emplace(
+          node.get(), std::make_unique<ShardedTupleSet>(node->arity));
       BRYQL_RETURN_NOT_OK(PrepareSpine(node->children[0]));
       return PrepareSpine(node->children[1]);
     }
@@ -168,29 +164,18 @@ Result<Relation> PlanRuntime::RunParallel(const PhysicalPlanPtr& plan) {
   // The final order-insensitive merge: every worker drains its partition
   // of the spine with DrainToRelation's admission rules, freshness
   // decided by a dedup set shared across workers so the totals match
-  // serial exactly. Fresh rows are collected per worker and assembled
-  // after the barrier.
-  ShardedTupleSet result_set;
-  std::vector<std::vector<Tuple>> worker_rows(workers_);
+  // serial exactly. That set already holds each fresh row once, so after
+  // the barrier its rows move into the result with no second dedup.
+  ShardedTupleSet result_set(plan->arity);
   BRYQL_RETURN_NOT_OK(RunPhase(
       plan,
-      [&](size_t w, PhysicalOperator* op, PhysicalContext& ctx,
+      [&](size_t, PhysicalOperator* op, PhysicalContext& ctx,
           SharedBudget*) -> Status {
         return Drain(op, ctx, "exec.materialize.insert",
                      DrainAdmission::kEvery,
-                     [&](const Tuple& t) -> Result<bool> {
-                       if (!result_set.Insert(t)) return false;
-                       worker_rows[w].push_back(t);
-                       return true;
-                     });
+                     [&](const Tuple& t) { return result_set.Insert(t); });
       }));
-  Relation rel(plan->arity);
-  for (std::vector<Tuple>& rows : worker_rows) {
-    for (Tuple& t : rows) {
-      BRYQL_RETURN_NOT_OK(rel.Insert(std::move(t)).status());
-    }
-  }
-  return rel;
+  return Relation::FromDistinctRows(plan->arity, result_set.TakeRows());
 }
 
 Result<bool> PlanRuntime::WitnessRace(const PhysicalPlanPtr& child) {

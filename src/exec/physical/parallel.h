@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "algebra/physical_plan.h"
+#include "exec/physical/join_table.h"
 #include "exec/physical/operator.h"
 #include "storage/relation.h"
 
@@ -49,75 +50,121 @@ class MorselSource {
   size_t size_;
 };
 
-/// The 64-way sharding of ShardedTupleSet and SharedJoinBuild.
-/// unordered_set consumes a hash's low bits; the shard takes mixed high
-/// bits so the shard choice is independent of the within-shard bucket.
+/// The 64-way sharding of ShardedTupleSet and SharedJoinBuild, chosen
+/// from the high bits of the key's in-place hash. A shard's RowIdIndex
+/// takes its positions from the low bits of the same mixed hash, so the
+/// shard choice and the within-shard slot stay independent.
 inline constexpr size_t kShards = 64;
-inline size_t ShardOf(const Tuple& t) {
-  return (TupleHash{}(t) * 0x9e3779b97f4a7c15ULL) >> 58;
+inline size_t ShardOf(size_t hash) {
+  return (hash * 0x9e3779b97f4a7c15ULL) >> 58;
 }
 
-/// A globally shared dedup set, sharded 64 ways by tuple hash so
-/// concurrent inserts from different workers rarely contend. Sharing the
+/// A globally shared dedup set, sharded 64 ways by hash so concurrent
+/// inserts from different workers rarely contend. Each shard is a
+/// Relation under its lock, so a fresh tuple is stored once. Sharing the
 /// set (instead of deduping per worker) is what keeps parallel
 /// materialize-admission totals *exactly* equal to serial: each globally
 /// fresh tuple is admitted exactly once, by whichever worker wins the
 /// insert.
 class ShardedTupleSet {
  public:
-  /// True when `t` was fresh (this call inserted it).
-  bool Insert(const Tuple& t) {
-    Shard& shard = shards_[ShardOf(t)];
+  explicit ShardedTupleSet(size_t arity) : identity_(arity) {
+    for (size_t i = 0; i < arity; ++i) identity_[i] = i;
+    for (Shard& shard : shards_) shard.rows = Relation(arity);
+  }
+
+  /// Inserts `t`; true when it was fresh (this call inserted it).
+  Result<bool> Insert(const Tuple& t) {
+    return InsertProjection(t, identity_, [](const Tuple&) {});
+  }
+
+  /// Inserts the projection of `t` onto `columns`, hashed and compared in
+  /// place. When it is fresh, `on_fresh(stored)` runs under the shard
+  /// lock with the stored copy — the only time the shard's rows may be
+  /// read while workers still insert.
+  template <typename OnFresh>
+  Result<bool> InsertProjection(const Tuple& t,
+                                const std::vector<size_t>& columns,
+                                OnFresh&& on_fresh) {
+    const size_t hash = t.HashOf(columns);
+    Shard& shard = shards_[ShardOf(hash)];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    return shard.set.insert(t).second;
+    BRYQL_ASSIGN_OR_RETURN(bool fresh,
+                           shard.rows.InsertProjection(t, columns, hash));
+    if (fresh) on_fresh(shard.rows.rows().back());
+    return fresh;
   }
 
   size_t size() const {
     size_t n = 0;
     for (const Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mutex);
-      n += shard.set.size();
+      n += shard.rows.size();
     }
     return n;
+  }
+
+  /// Moves every stored row out, shard by shard (after the phase
+  /// barrier): the rows are pairwise distinct by construction.
+  std::vector<Tuple> TakeRows() {
+    std::vector<Tuple> all;
+    all.reserve(size());
+    for (Shard& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      for (Tuple& t : shard.rows.TakeRows()) all.push_back(std::move(t));
+    }
+    return all;
   }
 
  private:
   struct Shard {
     mutable std::mutex mutex;
-    TupleSet set;
+    Relation rows;
   };
+  std::vector<size_t> identity_;
   std::array<Shard, kShards> shards_;
 };
 
-/// The shared build side of one parallel hash/complement join: a 64-way
-/// key-sharded multimap (kInner/kLeftOuter, partner values kept) or key
-/// set (kSemi/kAnti/kMark, membership only). Built concurrently by the
-/// build phase's workers under per-shard locks; after the phase barrier
-/// the probe phase reads it lock-free (the fork/join edges of RunOnWorkers
-/// provide the happens-before).
+/// The shared build side of one parallel hash/complement join, sharded 64
+/// ways by the build key's in-place hash. Each shard holds what a serial
+/// HashJoinOp holds: a JoinTable (kInner/kLeftOuter, build rows with
+/// per-key chains) or a key-column Relation (kSemi/kAnti/kMark,
+/// membership only). Built concurrently by the build phase's workers
+/// under per-shard locks; after the phase barrier the probe phase reads
+/// it lock-free (the fork/join edges of RunOnWorkers provide the
+/// happens-before).
 class SharedJoinBuild {
  public:
-  /// Build phase (locked). InsertKey returns whether the key was fresh.
-  void InsertTable(const Tuple& key, const Tuple& value) {
-    Shard& shard = shards_[ShardOf(key)];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.table[key].push_back(value);
-  }
-  bool InsertKey(const Tuple& key) {
-    Shard& shard = shards_[ShardOf(key)];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    return shard.keys.insert(key).second;
+  /// `build_columns` are the build rows' key columns; `table_mode` keeps
+  /// whole rows (inner/outer), otherwise only the distinct keys.
+  SharedJoinBuild(std::vector<size_t> build_columns, bool table_mode)
+      : build_columns_(std::move(build_columns)), table_mode_(table_mode) {
+    for (Shard& shard : shards_) {
+      shard.table = JoinTable(build_columns_);
+      shard.keys = Relation(build_columns_.size());
+    }
   }
 
-  /// Probe phase (lock-free; only valid after the build phase barrier).
-  const std::vector<Tuple>* Find(const Tuple& key) const {
-    const Shard& shard = shards_[ShardOf(key)];
-    auto it = shard.table.find(key);
-    return it == shard.table.end() ? nullptr : &it->second;
+  /// Build phase (locked): adds one build row. True for every table row;
+  /// for key sets, whether the key was fresh.
+  Result<bool> Insert(const Tuple& row) {
+    const size_t hash = row.HashOf(build_columns_);
+    Shard& shard = shards_[ShardOf(hash)];
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    if (!table_mode_) {
+      return shard.keys.InsertProjection(row, build_columns_, hash);
+    }
+    BRYQL_RETURN_NOT_OK(shard.table.Insert(row, hash));
+    return true;
   }
-  bool Contains(const Tuple& key) const {
-    const Shard& shard = shards_[ShardOf(key)];
-    return shard.keys.count(key) != 0;
+
+  /// Probe phase (lock-free; only valid after the build phase barrier):
+  /// the shard structures a key of in-place hash `hash` lives in.
+  const JoinTable& table(size_t hash) const {
+    return shards_[ShardOf(hash)].table;
+  }
+  const Relation& keys(size_t hash) const {
+    return shards_[ShardOf(hash)].keys;
   }
   /// True when the build side produced no tuple.
   bool empty() const {
@@ -130,9 +177,11 @@ class SharedJoinBuild {
  private:
   struct Shard {
     std::mutex mutex;
-    TupleMultiMap table;  // kInner, kLeftOuter
-    TupleSet keys;        // kSemi, kAnti, kMark
+    JoinTable table;
+    Relation keys;
   };
+  std::vector<size_t> build_columns_;
+  bool table_mode_;
   std::array<Shard, kShards> shards_;
 };
 

@@ -273,8 +273,8 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
       BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr right, input(1));
       ShardedTupleSet* seen =
           ctx_.shared == nullptr ? nullptr : ctx_.shared->FindSeen(node.get());
-      op = PhysicalOpPtr(
-          new UnionOp(std::move(left), std::move(right), ctx_, seen));
+      op = PhysicalOpPtr(new UnionOp(std::move(left), std::move(right),
+                                     node->arity, ctx_, seen));
       break;
     }
     case PhysicalKind::kNonEmpty:

@@ -16,8 +16,9 @@ Status UnionOp::NextBatch(TupleBatch* out) {
       on_left_ = false;
       continue;
     }
-    const bool fresh = shared_seen_ != nullptr ? shared_seen_->Insert(t)
-                                               : seen_.insert(t).second;
+    BRYQL_ASSIGN_OR_RETURN(
+        bool fresh,
+        shared_seen_ != nullptr ? shared_seen_->Insert(t) : seen_.Insert(t));
     if (fresh) {
       if (!ctx_.governor->AdmitMaterialize()) return ctx_.governor->status();
       ++ctx_.stats->tuples_materialized;

@@ -1,5 +1,6 @@
 #include "storage/csv.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -54,7 +55,18 @@ Result<Relation> RelationFromCsv(std::string_view text) {
     }
     std::vector<Value> values;
     values.reserve(cells.size());
-    for (const std::string& cell : cells) values.push_back(ParseCell(Trim(cell)));
+    for (const std::string& cell : cells) {
+      values.push_back(ParseCell(Trim(cell)));
+      // NaN is not a domain value: it is unequal to itself, so a relation
+      // holding it could not be a set (see csv.h).
+      if (values.back().kind() == ValueKind::kDouble &&
+          std::isnan(values.back().AsDouble())) {
+        return Status::InvalidArgument("CSV line " +
+                                       std::to_string(line_number) +
+                                       ": NaN is not a domain value ('" +
+                                       cell + "')");
+      }
+    }
     rows.emplace_back(std::move(values));
   }
   return Relation::FromRows(std::move(rows));

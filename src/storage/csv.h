@@ -13,6 +13,11 @@ namespace bryql {
 /// then floating-point numbers, otherwise strings (optionally
 /// single-quoted). Blank lines and `#` comment lines are skipped. Every
 /// data row must have the same number of fields.
+///
+/// NaN is not a domain value. Value equality is IEEE (NaN != NaN) — the
+/// same equality predicates evaluate — so a NaN row would never equal
+/// itself and set semantics would break. A cell that parses as NaN is
+/// rejected with kInvalidArgument naming its line, like a ragged row.
 Result<Relation> RelationFromCsv(std::string_view text);
 
 /// Loads `path` and parses it with RelationFromCsv.

@@ -1,13 +1,37 @@
 #include "storage/relation.h"
 
 #include <algorithm>
+#include <cassert>
+#include <numeric>
 
 namespace bryql {
+
+namespace {
+
+Status TooManyRows() {
+  return Status::ResourceExhausted(
+      "Insert: a relation holds at most " +
+      std::to_string(RowIdIndex::kMaxRows) + " rows (32-bit row ids)");
+}
+
+Status ArityMismatch(const char* what, size_t got, size_t arity) {
+  return Status::InvalidArgument(std::string(what) + ": tuple arity " +
+                                 std::to_string(got) +
+                                 " does not match relation arity " +
+                                 std::to_string(arity));
+}
+
+}  // namespace
+
+Relation::Relation(size_t arity) : arity_(arity), identity_(arity) {
+  std::iota(identity_.begin(), identity_.end(), size_t{0});
+}
 
 Relation::Relation(const Relation& other)
     : arity_(other.arity_),
       rows_(other.rows_),
       index_(other.index_),
+      identity_(other.identity_),
       column_indexes_(other.column_indexes_),
       columnar_(other.columnar_
                     ? std::make_unique<ColumnStore>(*other.columnar_)
@@ -18,6 +42,7 @@ Relation& Relation::operator=(const Relation& other) {
   arity_ = other.arity_;
   rows_ = other.rows_;
   index_ = other.index_;
+  identity_ = other.identity_;
   column_indexes_ = other.column_indexes_;
   columnar_ = other.columnar_
                   ? std::make_unique<ColumnStore>(*other.columnar_)
@@ -39,21 +64,77 @@ Result<Relation> Relation::FromRows(std::vector<Tuple> rows) {
   return rel;
 }
 
-Result<bool> Relation::Insert(Tuple tuple) {
-  if (tuple.arity() != arity_) {
-    return Status::InvalidArgument(
-        "Insert: tuple arity " + std::to_string(tuple.arity()) +
-        " does not match relation arity " + std::to_string(arity_));
+Result<Relation> Relation::FromDistinctRows(size_t arity,
+                                            std::vector<Tuple> rows) {
+  if (rows.size() > RowIdIndex::kMaxRows) return TooManyRows();
+  Relation rel(arity);
+  rel.rows_ = std::move(rows);
+  for (size_t i = 0; i < rel.rows_.size(); ++i) {
+    const Tuple& row = rel.rows_[i];
+    if (row.arity() != arity) {
+      return ArityMismatch("FromDistinctRows", row.arity(), arity);
+    }
+    assert(!rel.Contains(row) && "FromDistinctRows: duplicate row");
+    rel.index_.InsertDistinct(row.Hash(), static_cast<uint32_t>(i));
   }
-  auto [it, inserted] = index_.insert(tuple);
-  (void)it;
-  if (!inserted) return false;
+  return rel;
+}
+
+Result<bool> Relation::Insert(const Tuple& tuple) { return InsertRow(tuple); }
+
+Result<bool> Relation::Insert(Tuple&& tuple) {
+  return InsertRow(std::move(tuple));
+}
+
+template <typename T>
+Result<bool> Relation::InsertRow(T&& tuple) {
+  if (tuple.arity() != arity_) {
+    return ArityMismatch("Insert", tuple.arity(), arity_);
+  }
+  const RowIdIndex::Entry entry =
+      index_.FindOrInsert(tuple.Hash(), rows_.size(),
+                          [&](uint32_t r) { return rows_[r] == tuple; });
+  if (!entry.inserted) {
+    if (entry.row == RowIdIndex::kNoRow) return TooManyRows();
+    return false;
+  }
+  Append(std::forward<T>(tuple));
+  return true;
+}
+
+Result<bool> Relation::InsertProjection(const Tuple& tuple,
+                                        const std::vector<size_t>& columns,
+                                        size_t hash) {
+  if (columns.size() != arity_) {
+    return ArityMismatch("InsertProjection", columns.size(), arity_);
+  }
+  const RowIdIndex::Entry entry =
+      index_.FindOrInsert(hash, rows_.size(), [&](uint32_t r) {
+        return tuple.ColumnsEqual(columns, rows_[r], identity_);
+      });
+  if (!entry.inserted) {
+    if (entry.row == RowIdIndex::kNoRow) return TooManyRows();
+    return false;
+  }
+  Append(tuple.Project(columns));
+  return true;
+}
+
+std::vector<Tuple> Relation::TakeRows() {
+  std::vector<Tuple> taken = std::move(rows_);
+  rows_.clear();
+  index_ = RowIdIndex();
+  for (auto& [column, column_index] : column_indexes_) column_index.clear();
+  if (columnar_) columnar_ = std::make_unique<ColumnStore>(arity_);
+  return taken;
+}
+
+void Relation::Append(Tuple tuple) {
   for (auto& [column, column_index] : column_indexes_) {
     column_index[tuple.at(column)].push_back(rows_.size());
   }
   if (columnar_) columnar_->Append(tuple);
   rows_.push_back(std::move(tuple));
-  return true;
 }
 
 void Relation::BuildColumnStore() {

@@ -95,6 +95,31 @@ TEST(CsvTest, RaggedRowRejectionNamesTheLine) {
       << s.status().message();
 }
 
+TEST(CsvTest, NanCellIsRejectedWithItsLine) {
+  // strtod accepts "nan", but NaN != NaN would break set semantics: the
+  // duplicate rows below would not collapse and no row would contain
+  // itself.
+  auto r = RelationFromCsv("1, nan\n1, nan\n2, 3.5\n2, 3.5\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("line 1"), std::string::npos)
+      << r.status().message();
+  EXPECT_NE(r.status().message().find("NaN"), std::string::npos)
+      << r.status().message();
+
+  auto later = RelationFromCsv("# header\n2, 3.5\n3, -NAN\n");
+  ASSERT_FALSE(later.ok());
+  EXPECT_EQ(later.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(later.status().message().find("line 3"), std::string::npos)
+      << later.status().message();
+
+  // Infinities equal themselves and stay ordinary values.
+  auto inf = RelationFromCsv("1, inf\n1, inf\n");
+  ASSERT_TRUE(inf.ok()) << inf.status();
+  EXPECT_EQ(inf->size(), 1u);
+  EXPECT_TRUE(inf->Contains(inf->rows()[0]));
+}
+
 TEST(CsvTest, RoundTrip) {
   Relation in = StringPairs({{"a", "x"}, {"b", "y"}});
   auto text = RelationToCsv(in);

@@ -78,43 +78,91 @@ const JoinCase kJoinCases[] = {
      }},
 };
 
+/// Evaluates every kJoinCases member over (left, right) at batch sizes
+/// {default, 1} and compares with the brute-force reference.
+void ExpectHashJoinMatchesBruteForce(const Relation& left,
+                                     const Relation& right,
+                                     const std::string& label) {
+  Database db;
+  db.Put("left", left);
+  db.Put("right", right);
+  for (const JoinCase& jc : kJoinCases) {
+    const ExprPtr expr = jc.make(Expr::Scan("left"), Expr::Scan("right"));
+    const Relation expected = BruteForceJoin(*expr, left, right);
+    for (size_t batch_size : {kDefaultBatchSize, size_t{1}}) {
+      ExecOptions options;
+      options.batch_size = batch_size;
+      Executor executor(&db, options);
+      auto got = executor.Evaluate(expr);
+      ASSERT_TRUE(got.ok()) << jc.name << " [" << label << ", batch "
+                            << batch_size << "]: " << got.status();
+      EXPECT_EQ(*got, expected)
+          << jc.name << " [" << label << ", batch " << batch_size << "]";
+    }
+  }
+}
+
+/// Pairs whose key column mixes kinds: Int(k) and the equal Double(k),
+/// Double(k + 0.5) (equal to no Int), strings and ∅. The in-place key
+/// hash must send Int(2) and Double(2.0) to one bucket and compare them
+/// equal, and keep ∅ and strings apart from numbers.
+Relation MixedKindPairs(size_t n, uint64_t seed) {
+  Relation rel(2);
+  uint64_t state = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+  auto next = [&state]() {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<int64_t>(state >> 33);
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t k = next() % 8;
+    Value key;
+    switch (next() % 5) {
+      case 0:
+        key = Value::Int(k);
+        break;
+      case 1:
+        key = Value::Double(static_cast<double>(k));
+        break;
+      case 2:
+        key = Value::Double(static_cast<double>(k) + 0.5);
+        break;
+      case 3:
+        key = Value::String("s" + std::to_string(k));
+        break;
+      default:
+        key = Value::Null();
+        break;
+    }
+    rel.Insert(Tuple({key, Value::Int(next() % 5)}));
+  }
+  return rel;
+}
+
 class JoinParityTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(JoinParityTest, HashJoinMatchesBruteForceOnEveryJoinKind) {
   const uint64_t seed = GetParam();
   const Relation left = RandomPairs(60, 20, seed);
   const Relation right = RandomPairs(40, 20, seed + 1000);
-  const struct {
-    const char* name;
-    Relation left;
-    Relation right;
-  } inputs[] = {
-      {"seeded", left, right},
-      {"empty-left", Relation(2), right},
-      {"empty-right", left, Relation(2)},
-  };
+  const std::string suffix = ", seed " + std::to_string(seed);
+  ExpectHashJoinMatchesBruteForce(left, right, "seeded" + suffix);
+  ExpectHashJoinMatchesBruteForce(Relation(2), right, "empty-left" + suffix);
+  ExpectHashJoinMatchesBruteForce(left, Relation(2), "empty-right" + suffix);
+}
 
-  for (const auto& input : inputs) {
-    Database db;
-    db.Put("left", input.left);
-    db.Put("right", input.right);
-    for (const JoinCase& jc : kJoinCases) {
-      const ExprPtr expr = jc.make(Expr::Scan("left"), Expr::Scan("right"));
-      const Relation expected = BruteForceJoin(*expr, input.left, input.right);
-      for (size_t batch_size : {kDefaultBatchSize, size_t{1}}) {
-        ExecOptions options;
-        options.batch_size = batch_size;
-        Executor executor(&db, options);
-        auto got = executor.Evaluate(expr);
-        ASSERT_TRUE(got.ok()) << jc.name << " [" << input.name << ", batch "
-                              << batch_size << "] seed " << seed << ": "
-                              << got.status();
-        EXPECT_EQ(*got, expected)
-            << jc.name << " [" << input.name << ", batch " << batch_size
-            << "] seed " << seed;
-      }
+TEST(JoinParityMixedKindsTest, MixedKindKeysMatchBruteForce) {
+  const Relation left = MixedKindPairs(80, 23);
+  const Relation right = MixedKindPairs(50, 1023);
+  // The draw must actually exercise cross-kind equality.
+  bool int_meets_double = false;
+  for (const Tuple& l : left.rows()) {
+    for (const Tuple& r : right.rows()) {
+      int_meets_double |= l.at(0).kind() != r.at(0).kind() &&
+                          l.at(0) == r.at(0);
     }
   }
+  ASSERT_TRUE(int_meets_double);
+  ExpectHashJoinMatchesBruteForce(left, right, "mixed-kinds, seed 23");
 }
 
 /// Batch-size 1 degrades the batched engine to tuple-at-a-time data flow;

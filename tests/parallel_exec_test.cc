@@ -81,7 +81,7 @@ TEST(MorselSourceTest, ClaimsCoverEachRowExactlyOnce) {
 }
 
 TEST(ShardedTupleSetTest, ConcurrentInsertsAdmitEachTupleExactlyOnce) {
-  ShardedTupleSet set;
+  ShardedTupleSet set(/*arity=*/1);
   constexpr size_t kDistinct = 2000;
   constexpr size_t kWorkers = 8;
   std::atomic<size_t> fresh{0};
@@ -90,7 +90,7 @@ TEST(ShardedTupleSetTest, ConcurrentInsertsAdmitEachTupleExactlyOnce) {
   RunOnWorkers(ThreadPool::Shared(), kWorkers, [&](size_t) {
     for (size_t i = 0; i < kDistinct; ++i) {
       Tuple t({Value::Int(static_cast<int64_t>(i))});
-      if (set.Insert(t)) fresh.fetch_add(1);
+      if (*set.Insert(t)) fresh.fetch_add(1);
     }
   });
   EXPECT_EQ(fresh.load(), kDistinct);
