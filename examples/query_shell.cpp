@@ -7,7 +7,8 @@
 //   { x | p(x) & ... }        run an open query
 //   exists x: p(x) & ...      run a closed query
 //   .load <name> <file.csv>   register a relation from CSV
-//   .rel <name> a,b\n c,d ;   define a relation inline (rows until ';')
+//   .rel <name> a,b\n c,d ;   define a relation inline (rows until ';';
+//                             at least one row, which fixes the arity)
 //   .relations                list relations
 //   .explain <query>          show canonical form + plan without running
 //   .explain physical <query> show the lowered physical operator tree
@@ -222,6 +223,15 @@ int main(int argc, char** argv) {
       auto rel = RelationFromCsv(rows);
       if (!rel.ok()) {
         std::cout << rel.status() << "\n";
+        continue;
+      }
+      // No rows give no arity: defining the relation would make every
+      // later atom over it fail with an arity clash.
+      if (rel->size() == 0) {
+        std::cout << Status::InvalidArgument(
+                         ".rel " + name +
+                         " needs at least one row to fix its arity")
+                  << "\n";
         continue;
       }
       db.Put(name, std::move(*rel));

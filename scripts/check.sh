@@ -10,10 +10,11 @@
 #   3. an ASan+UBSan configuration with failpoints compiled in, so the
 #      fault-injection stress tests actually run and every injected
 #      failure path is checked for leaks and UB, and
-#   4. a TSan configuration running the parallel-execution and service
-#      tests, so the morsel-driven runtime's sharing (morsel dispensers,
-#      shared builds, sharded seen-sets, budget reconciliation) and the
-#      service layer's admission/retry machinery are race-checked, and
+#   4. a TSan configuration running the parallel-execution, service and
+#      value tests, so the morsel-driven runtime's sharing (morsel
+#      dispensers, shared builds, sharded seen-sets, budget
+#      reconciliation), the service layer's admission/retry machinery and
+#      the process-wide string pool are race-checked, and
 #   5. a chaos sweep: the seeded fault-injection harness re-run across
 #      fixed seeds against the failpoints build, asserting every reply
 #      under randomized faults is either the fault-free oracle answer or
@@ -59,9 +60,10 @@ cmake --build build-tsan -j "$JOBS"
 # prepared-query tests cover the concurrent QueryProcessor paths; the
 # service and chaos suites cover admission, retry and fault injection
 # under 8-way client concurrency; the columnar differential suite runs
-# ColumnarScanOp under morsels at 2 and 8 workers.
+# ColumnarScanOp under morsels at 2 and 8 workers; the value suite
+# interns overlapping strings from 8 threads into the shared pool.
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'parallel|plan_cache|prepared|service|columnar_differential'
+  -R 'parallel|plan_cache|prepared|service|columnar_differential|value'
 
 echo "== [5/5] chaos seed sweep (failpoints build) =="
 cmake -B build-chaos -S . -DBRYQL_FAILPOINTS=ON >/dev/null

@@ -2,6 +2,7 @@
 #define BRYQL_CALCULUS_TERM_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/hash_util.h"
 #include "common/value.h"
@@ -59,8 +60,8 @@ class Term {
 
 /// Shorthand constructors used pervasively in tests and examples.
 inline Term V(std::string name) { return Term::Var(std::move(name)); }
-inline Term C(std::string value) {
-  return Term::Const(Value::String(std::move(value)));
+inline Term C(std::string_view value) {
+  return Term::Const(Value::String(value));
 }
 inline Term CI(int64_t value) { return Term::Const(Value::Int(value)); }
 

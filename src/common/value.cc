@@ -1,26 +1,79 @@
 #include "common/value.h"
 
-#include <functional>
+#include <mutex>
 #include <sstream>
+#include <unordered_set>
 
 namespace bryql {
 
 namespace {
 
-/// True when the pair mixes kInt and kDouble, which compare numerically.
-bool IsNumericPair(const Value& a, const Value& b) {
-  auto numeric = [](ValueKind k) {
-    return k == ValueKind::kInt || k == ValueKind::kDouble;
-  };
-  return numeric(a.kind()) && numeric(b.kind()) && a.kind() != b.kind();
-}
+/// A lookup key for the pool: the text with its hash computed once.
+struct TextKey {
+  std::string_view text;
+  size_t hash;
+};
 
-double NumericOf(const Value& v) {
-  return v.kind() == ValueKind::kInt ? static_cast<double>(v.AsInt())
-                                     : v.AsDouble();
+struct EntryHash {
+  using is_transparent = void;
+  size_t operator()(const InternedString& e) const { return e.hash; }
+  size_t operator()(const TextKey& k) const { return k.hash; }
+};
+
+struct EntryEq {
+  using is_transparent = void;
+  bool operator()(const InternedString& a, const InternedString& b) const {
+    return a.text == b.text;
+  }
+  bool operator()(const TextKey& a, const InternedString& b) const {
+    return a.text == b.text;
+  }
+  bool operator()(const InternedString& a, const TextKey& b) const {
+    return a.text == b.text;
+  }
+};
+
+/// The process-wide string pool. Set nodes never move, so a pointer to an
+/// entry stays valid across rehashes; the pool is never destroyed, so it
+/// also stays valid while other statics are torn down. Only interning
+/// takes the lock: a value reads its entry's text and hash without it.
+struct InternPool {
+  std::mutex mutex;
+  std::unordered_set<InternedString, EntryHash, EntryEq> entries;
+  size_t bytes = 0;
+  size_t calls = 0;
+};
+
+InternPool& Pool() {
+  static InternPool* pool = new InternPool;
+  return *pool;
 }
 
 }  // namespace
+
+Value Value::String(std::string_view text) {
+  // std::hash<std::string_view> equals std::hash<std::string> on the same
+  // text, so the cached hash is what hashing the text itself would give.
+  const TextKey key{text, std::hash<std::string_view>{}(text)};
+  InternPool& pool = Pool();
+  Value v(ValueKind::kString);
+  std::lock_guard<std::mutex> lock(pool.mutex);
+  ++pool.calls;
+  auto it = pool.entries.find(key);
+  if (it == pool.entries.end()) {
+    it = pool.entries.insert(InternedString{std::string(text), key.hash})
+             .first;
+    pool.bytes += text.size();
+  }
+  v.string_ = &*it;
+  return v;
+}
+
+InternPoolStats GetInternPoolStats() {
+  InternPool& pool = Pool();
+  std::lock_guard<std::mutex> lock(pool.mutex);
+  return {pool.entries.size(), pool.bytes, pool.calls};
+}
 
 std::string Value::ToString() const {
   switch (kind()) {
@@ -41,32 +94,24 @@ std::string Value::ToString() const {
   return "<bad value>";
 }
 
-bool operator==(const Value& a, const Value& b) {
-  if (IsNumericPair(a, b)) return NumericOf(a) == NumericOf(b);
-  return a.rep_ == b.rep_;
-}
-
 bool operator<(const Value& a, const Value& b) {
-  if (IsNumericPair(a, b)) return NumericOf(a) < NumericOf(b);
-  return a.rep_ < b.rep_;
-}
-
-size_t Value::Hash() const {
-  // Int and double hash through the same numeric path so that values that
-  // compare equal (Int(2) == Double(2.0)) hash alike.
-  switch (kind()) {
-    case ValueKind::kNull:
-      return 0x9e3779b97f4a7c15ull;
-    case ValueKind::kMark:
-      return 0xc2b2ae3d27d4eb4full;
-    case ValueKind::kInt:
-      return std::hash<double>{}(static_cast<double>(AsInt()));
-    case ValueKind::kDouble:
-      return std::hash<double>{}(AsDouble());
-    case ValueKind::kString:
-      return std::hash<std::string>{}(AsString());
+  if (a.kind_ != b.kind_) {
+    if (Value::IsNumeric(a.kind_) && Value::IsNumeric(b.kind_)) {
+      return a.Numeric() < b.Numeric();
+    }
+    return a.kind_ < b.kind_;
   }
-  return 0;
+  switch (a.kind_) {
+    case ValueKind::kInt:
+      return a.int_ < b.int_;
+    case ValueKind::kDouble:
+      return a.double_ < b.double_;
+    case ValueKind::kString:
+      // Interning order says nothing about text order: compare the texts.
+      return a.string_ != b.string_ && a.AsString() < b.AsString();
+    default:
+      return false;
+  }
 }
 
 std::ostream& operator<<(std::ostream& os, const Value& value) {

@@ -18,9 +18,10 @@ int64_t PayloadOf(const Value& v, ColumnStore::Column* col) {
     case ValueKind::kDouble:
       return std::bit_cast<int64_t>(v.AsDouble());
     case ValueKind::kString: {
+      // Interned texts are unique, so the entry's address is the key.
       auto [it, inserted] = col->dict_codes.try_emplace(
-          v.AsString(), static_cast<int64_t>(col->dict.size()));
-      if (inserted) col->dict.push_back(v.AsString());
+          &v.AsString(), static_cast<int64_t>(col->dict.size()));
+      if (inserted) col->dict.push_back(v);
       return it->second;
     }
   }
@@ -71,7 +72,7 @@ Value ColumnStore::ValueAt(size_t column, size_t row) const {
     case ValueKind::kDouble:
       return Value::Double(std::bit_cast<double>(col.data[row]));
     case ValueKind::kString:
-      return Value::String(col.dict[static_cast<size_t>(col.data[row])]);
+      return col.dict[static_cast<size_t>(col.data[row])];
   }
   return Value::Null();
 }

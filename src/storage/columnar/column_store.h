@@ -46,7 +46,9 @@ struct ZoneMap {
 ///
 /// Physical layout per column: a kind byte per row plus a 64-bit payload
 /// per row — the integer itself, the double's bit pattern, a dictionary
-/// code for strings, and 0 for ∅/⊥. The payload arrays are what the
+/// code for strings, and 0 for ∅/⊥. The dictionary holds the interned
+/// string Values themselves (common/value.h), so it copies no text and
+/// reading a row back never interns. The payload arrays are what the
 /// vectorized predicate kernels (predicate_kernel.h) loop over.
 ///
 /// The store is append-only and kept in lockstep with the owning
@@ -82,14 +84,16 @@ class ColumnStore {
     std::vector<uint8_t> kinds;
     /// Payload per row: int value, double bit pattern, dictionary code.
     std::vector<int64_t> data;
-    /// String dictionary: code -> string, in first-appearance order.
-    std::vector<std::string> dict;
-    std::unordered_map<std::string, int64_t> dict_codes;
+    /// String dictionary: code -> interned string value, in
+    /// first-appearance order, and its inverse keyed by string identity.
+    std::vector<Value> dict;
+    std::unordered_map<const std::string*, int64_t> dict_codes;
     std::vector<ZoneMap> zones;
   };
   const Column& column(size_t c) const { return columns_[c]; }
 
-  /// Reconstructs the Value at (column, row).
+  /// The Value at (column, row): rebuilt from the payload for numbers, the
+  /// dictionary's stored Value for strings.
   Value ValueAt(size_t column, size_t row) const;
 
   /// Rebuilds row `row` into `*out`, reusing the tuple's storage — the

@@ -179,8 +179,7 @@ const std::vector<uint8_t>& PredicateKernel::DictMatches(
     // One comparison per *distinct* string — the dictionary win: every
     // later row is a table lookup, not a comparison.
     ++*comparisons;
-    match[c] = CompareValues(p->op(), Value::String(col.dict[c]),
-                             p->value());
+    match[c] = CompareValues(p->op(), col.dict[c], p->value());
   }
   return dict_match_.emplace(p, std::move(match)).first->second;
 }

@@ -16,7 +16,7 @@ namespace {
 /// Classifies one trimmed CSV cell.
 Value ParseCell(std::string_view cell) {
   if (cell.size() >= 2 && cell.front() == '\'' && cell.back() == '\'') {
-    return Value::String(std::string(cell.substr(1, cell.size() - 2)));
+    return Value::String(cell.substr(1, cell.size() - 2));
   }
   if (!cell.empty()) {
     char* end = nullptr;
@@ -26,7 +26,7 @@ Value ParseCell(std::string_view cell) {
     double as_double = std::strtod(owned.c_str(), &end);
     if (end == owned.c_str() + owned.size()) return Value::Double(as_double);
   }
-  return Value::String(std::string(cell));
+  return Value::String(cell);
 }
 
 }  // namespace

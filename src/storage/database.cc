@@ -7,12 +7,6 @@ void Database::Put(const std::string& name, Relation relation) {
   ++version_;
 }
 
-Status Database::PutRows(const std::string& name, std::vector<Tuple> rows) {
-  BRYQL_ASSIGN_OR_RETURN(Relation rel, Relation::FromRows(std::move(rows)));
-  Put(name, std::move(rel));
-  return Status::Ok();
-}
-
 Result<const Relation*> Database::Get(const std::string& name) const {
   auto it = relations_.find(name);
   if (it != relations_.end()) return &it->second;

@@ -17,7 +17,7 @@ namespace bryql {
 ///
 /// Thread safety: every const member may be called concurrently from any
 /// number of threads (including Get("dom"), whose lazily rebuilt view is
-/// published under a lock). Mutations — Put, PutRows, BuildIndex,
+/// published under a lock). Mutations — Put, BuildIndex,
 /// BuildAllIndexes, EnableColumnar[All], assignment — are not
 /// synchronized: a writer needs external exclusion from every reader and
 /// every other writer, and pointers returned by Get are invalidated by
@@ -28,9 +28,6 @@ class Database {
 
   /// Registers `relation` under `name`, replacing any previous binding.
   void Put(const std::string& name, Relation relation);
-
-  /// Convenience: registers a relation built from `rows`.
-  Status PutRows(const std::string& name, std::vector<Tuple> rows);
 
   bool Has(const std::string& name) const {
     return relations_.count(name) != 0;
