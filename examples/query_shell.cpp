@@ -7,8 +7,9 @@
 //   { x | p(x) & ... }        run an open query
 //   exists x: p(x) & ...      run a closed query
 //   .load <name> <file.csv>   register a relation from CSV
-//   .rel <name> a,b\n c,d ;   define a relation inline (rows until ';';
-//                             at least one row, which fixes the arity)
+//   .rel <name> a,b\n c,d ;   define a relation inline (rows until ';')
+//                             Both need at least one row: it fixes the
+//                             relation's arity.
 //   .relations                list relations
 //   .explain <query>          show canonical form + plan without running
 //   .explain physical <query> show the lowered physical operator tree
@@ -60,6 +61,20 @@ Strategy ParseStrategy(const std::string& name, bool* ok) {
   return Strategy::kBry;
 }
 
+/// Registers the relation `rel` holds as `name`, or returns why not. A
+/// relation with no rows is refused: no row fixes its arity, so every
+/// later atom over it would fail with an arity clash.
+Status DefineRelation(Database* db, const std::string& name,
+                      Result<Relation> rel) {
+  if (!rel.ok()) return rel.status();
+  if (rel->size() == 0) {
+    return Status::InvalidArgument("relation '" + name +
+                                   "' needs at least one row to fix its arity");
+  }
+  db->Put(name, std::move(*rel));
+  return Status::Ok();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -83,12 +98,12 @@ int main(int argc, char** argv) {
       std::cerr << "ignoring argument '" << arg << "' (want name=file.csv)\n";
       continue;
     }
-    auto rel = RelationFromCsvFile(arg.substr(eq + 1));
-    if (!rel.ok()) {
-      std::cerr << rel.status() << "\n";
+    Status defined = DefineRelation(&db, arg.substr(0, eq),
+                                    RelationFromCsvFile(arg.substr(eq + 1)));
+    if (!defined.ok()) {
+      std::cerr << defined << "\n";
       return 1;
     }
-    db.Put(arg.substr(0, eq), std::move(*rel));
     std::cout << "loaded " << arg.substr(0, eq) << "\n";
   }
 
@@ -198,12 +213,11 @@ int main(int argc, char** argv) {
       std::istringstream in(line.substr(6));
       std::string name, file;
       in >> name >> file;
-      auto rel = RelationFromCsvFile(file);
-      if (!rel.ok()) {
-        std::cout << rel.status() << "\n";
+      Status defined = DefineRelation(&db, name, RelationFromCsvFile(file));
+      if (!defined.ok()) {
+        std::cout << defined << "\n";
         continue;
       }
-      db.Put(name, std::move(*rel));
       std::cout << "loaded " << name << "\n";
       continue;
     }
@@ -220,21 +234,11 @@ int main(int argc, char** argv) {
       }
       size_t semi = rows.find(';');
       if (semi != std::string::npos) rows.resize(semi);
-      auto rel = RelationFromCsv(rows);
-      if (!rel.ok()) {
-        std::cout << rel.status() << "\n";
+      Status defined = DefineRelation(&db, name, RelationFromCsv(rows));
+      if (!defined.ok()) {
+        std::cout << defined << "\n";
         continue;
       }
-      // No rows give no arity: defining the relation would make every
-      // later atom over it fail with an arity clash.
-      if (rel->size() == 0) {
-        std::cout << Status::InvalidArgument(
-                         ".rel " + name +
-                         " needs at least one row to fix its arity")
-                  << "\n";
-        continue;
-      }
-      db.Put(name, std::move(*rel));
       std::cout << "defined " << name << "\n";
       continue;
     }

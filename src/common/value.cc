@@ -14,21 +14,20 @@ struct TextKey {
   size_t hash;
 };
 
+/// Hash and equality over entries and lookup keys alike, so a lookup
+/// builds no std::string.
 struct EntryHash {
   using is_transparent = void;
-  size_t operator()(const InternedString& e) const { return e.hash; }
-  size_t operator()(const TextKey& k) const { return k.hash; }
+  template <typename T>
+  size_t operator()(const T& t) const {
+    return t.hash;
+  }
 };
 
 struct EntryEq {
   using is_transparent = void;
-  bool operator()(const InternedString& a, const InternedString& b) const {
-    return a.text == b.text;
-  }
-  bool operator()(const TextKey& a, const InternedString& b) const {
-    return a.text == b.text;
-  }
-  bool operator()(const InternedString& a, const TextKey& b) const {
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
     return a.text == b.text;
   }
 };
