@@ -5,8 +5,9 @@
 #      the vectorized columnar kernels only show their real codegen with
 #      optimization on, and the row/columnar differential suite must
 #      hold there too — plus the benchmark (perfbench/, its own CMake
-#      package over the same sources) built and run for one second on
-#      each workload, so a library change that breaks it shows here, and
+#      package over the same sources) built and run traced for one second
+#      on each workload, so a library change that breaks it, or fails its
+#      own replay, counter-repeat or self-time checks, shows here, and
 #   3. an ASan+UBSan configuration with failpoints compiled in, so the
 #      fault-injection stress tests actually run and every injected
 #      failure path is checked for leaks and UB, and
@@ -39,7 +40,7 @@ cmake -S perfbench -B build-perfbench >/dev/null
 cmake --build build-perfbench -j "$JOBS" --target perfbench_bin
 for workload in suite-warm adhoc-cold service-mixed; do
   build-perfbench/perfbench_bin --workload "$workload" --seed 1 --seconds 1 \
-    --trace 0
+    --trace 1
 done
 
 echo "== [3/5] sanitized build (address;undefined) + failpoints + tests =="

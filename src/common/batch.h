@@ -24,10 +24,11 @@ inline constexpr size_t kDefaultBatchSize = 1024;
 /// its first witness.
 ///
 /// Slots are recycled: Clear() resets the logical size but keeps every
-/// Tuple object (and its heap storage) alive, and AddSlot() hands the
-/// next recycled slot back to the producer. Copy-assigning a tuple into
-/// a warm slot reuses its allocation, so a steady-state batch pipeline
-/// performs no per-tuple allocations.
+/// Tuple object alive, and AddSlot() hands the next recycled slot back to
+/// the producer. A slot holds a tuple of arity ≤ 2 in place; only a slot
+/// that once held a wider tuple keeps a heap array, which copy-assigning
+/// into it reuses. Either way a steady-state batch pipeline performs no
+/// per-tuple allocations.
 class TupleBatch {
  public:
   explicit TupleBatch(size_t capacity = kDefaultBatchSize)
@@ -49,7 +50,8 @@ class TupleBatch {
 
   /// The next recycled output slot. Prefer `*AddSlot() = tuple` (copy
   /// assignment) over Add(Tuple) when the source tuple outlives the call:
-  /// assignment reuses the slot's storage, a move discards it.
+  /// assignment reuses a warm slot's heap array, a move of a wide tuple
+  /// replaces it. A slot's address is stable only until the next AddSlot.
   Tuple* AddSlot() {
     if (size_ == tuples_.size()) tuples_.emplace_back();
     return &tuples_[size_++];

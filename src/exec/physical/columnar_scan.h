@@ -34,14 +34,17 @@ class MorselSource;
 ///
 /// With a MorselSource (parallel workers), claims are morsel-sized and
 /// morsel-aligned, and one morsel is one segment (kSegmentRows ==
-/// kMorselSize), so workers never split a segment's zone verdict.
+/// kMorselSize), so workers never split a segment's zone verdict. The
+/// workers of one node also share its dictionary match tables, so each is
+/// built and counted once per run, as serially.
 class ColumnarScanOp : public PhysicalOperator {
  public:
   ColumnarScanOp(const ColumnStore* store, PredicatePtr predicate,
-                 PhysicalContext ctx, MorselSource* morsels = nullptr)
+                 PhysicalContext ctx, MorselSource* morsels = nullptr,
+                 DictMatchTables* dict_matches = nullptr)
       : store_(store), predicate_(std::move(predicate)),
-        kernel_(store, predicate_.get()), ctx_(ctx), morsels_(morsels),
-        limit_(morsels == nullptr ? store->rows() : 0) {}
+        kernel_(store, predicate_.get(), dict_matches), ctx_(ctx),
+        morsels_(morsels), limit_(morsels == nullptr ? store->rows() : 0) {}
 
   Status Open() override { return Status::Ok(); }
   Status NextBatch(TupleBatch* out) override;

@@ -84,6 +84,10 @@ Status PlanRuntime::PrepareSpine(const PhysicalPlanPtr& node) {
                              ctx_.db->Get(node->relation_name));
       registry_->morsels.emplace(
           node.get(), std::make_unique<MorselSource>(rel->rows().size()));
+      if (node->kind == PhysicalKind::kColumnarScan) {
+        registry_->dict_matches.emplace(node.get(),
+                                        std::make_unique<DictMatchTables>());
+      }
       return Status::Ok();
     }
     case PhysicalKind::kLiteralScan: {

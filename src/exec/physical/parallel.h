@@ -11,6 +11,7 @@
 #include "algebra/physical_plan.h"
 #include "exec/physical/join_table.h"
 #include "exec/physical/operator.h"
+#include "storage/columnar/predicate_kernel.h"
 #include "storage/relation.h"
 
 namespace bryql {
@@ -197,7 +198,8 @@ class SharedJoinBuild {
 ///     RelationScanOp over the borrowed rows, partitioned by the node's
 ///     morsel source — PlanRuntime::ShareRows registers both;
 ///   * a scan node in `morsels` reads from the shared dispenser instead
-///     of scanning [0, n) privately;
+///     of scanning [0, n) privately, and a columnar scan node in
+///     `dict_matches` shares its dictionary match tables;
 ///   * a join node in `builds` skips its build side entirely and probes
 ///     the shared table;
 ///   * a project/union node in `seen_sets` dedups against the global
@@ -210,6 +212,7 @@ struct ParallelShared {
   ByNode<std::vector<Tuple>> rows;
   ByNode<SharedJoinBuild> builds;
   ByNode<ShardedTupleSet> seen_sets;
+  ByNode<DictMatchTables> dict_matches;
 
   MorselSource* FindMorsels(const PhysicalNode* node) const {
     return Find(morsels, node);
@@ -222,6 +225,9 @@ struct ParallelShared {
   }
   ShardedTupleSet* FindSeen(const PhysicalNode* node) const {
     return Find(seen_sets, node);
+  }
+  DictMatchTables* FindDictMatches(const PhysicalNode* node) const {
+    return Find(dict_matches, node);
   }
 
  private:

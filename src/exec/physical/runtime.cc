@@ -210,8 +210,10 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
         op = row_path(rel, node->predicate);
         break;
       }
-      op = PhysicalOpPtr(new ColumnarScanOp(rel->column_store(),
-                                            node->predicate, ctx_, morsels));
+      op = PhysicalOpPtr(new ColumnarScanOp(
+          rel->column_store(), node->predicate, ctx_, morsels,
+          ctx_.shared == nullptr ? nullptr
+                                 : ctx_.shared->FindDictMatches(node.get())));
       break;
     }
     case PhysicalKind::kFilter: {

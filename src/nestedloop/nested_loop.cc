@@ -52,19 +52,18 @@ class Interpreter {
           return Status::InvalidArgument("atom arity mismatch for '" +
                                          f->predicate() + "'");
         }
-        std::vector<Value> values;
-        values.reserve(f->terms().size());
+        Tuple values;
         for (const Term& t : f->terms()) {
           std::optional<Value> v = Resolve(t, env);
           if (!v) {
             return Status::Unsupported("unbound variable '" + t.var() +
                                        "' in negated or closed context");
           }
-          values.push_back(std::move(*v));
+          values.Append(*v);
         }
         ++stats_->hash_probes;
-        stats_->comparisons += values.size();
-        return rel->Contains(Tuple(std::move(values)));
+        stats_->comparisons += values.arity();
+        return rel->Contains(values);
       }
       case FormulaKind::kCompare: {
         std::optional<Value> l = Resolve(f->lhs(), env);
@@ -358,12 +357,9 @@ Result<Relation> NestedLoopEvaluator::EvaluateOpen(const Query& query) {
     BRYQL_RETURN_NOT_OK(interp.ForEachSolution(
         query.targets, branch, env, [&](const Env& done) {
           if (!governor_->AdmitMaterialize()) return true;  // stop: tripped
-          std::vector<Value> values;
-          values.reserve(query.targets.size());
-          for (const std::string& t : query.targets) {
-            values.push_back(done.at(t));
-          }
-          result.Insert(Tuple(std::move(values)));
+          Tuple values;
+          for (const std::string& t : query.targets) values.Append(done.at(t));
+          result.Insert(std::move(values));
           return false;  // collect all answers
         }));
     BRYQL_RETURN_NOT_OK(governor_->status());

@@ -169,11 +169,12 @@ PredicateKernel::Zone PredicateKernel::ZoneTestNode(const Predicate* p,
   return Zone::kMaybe;
 }
 
-const std::vector<uint8_t>& PredicateKernel::DictMatches(
+const std::vector<uint8_t>& DictMatchTables::Get(
     const Predicate* p, const ColumnStore::Column& col,
     size_t* comparisons) {
-  auto it = dict_match_.find(p);
-  if (it != dict_match_.end()) return it->second;
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = tables_.find(p);
+  if (it != tables_.end()) return it->second;
   std::vector<uint8_t> match(col.dict.size());
   for (size_t c = 0; c < col.dict.size(); ++c) {
     // One comparison per *distinct* string — the dictionary win: every
@@ -181,7 +182,7 @@ const std::vector<uint8_t>& PredicateKernel::DictMatches(
     ++*comparisons;
     match[c] = CompareValues(p->op(), col.dict[c], p->value());
   }
-  return dict_match_.emplace(p, std::move(match)).first->second;
+  return tables_.emplace(p, std::move(match)).first->second;
 }
 
 void PredicateKernel::EvalMask(const Predicate* p, size_t begin, size_t end,
@@ -234,7 +235,8 @@ void PredicateKernel::EvalMask(const Predicate* p, size_t begin, size_t end,
       }
       if (zm.uniform && zm.kind == ValueKind::kString &&
           lit.kind() == ValueKind::kString) {
-        const std::vector<uint8_t>& match = DictMatches(p, col, comparisons);
+        const std::vector<uint8_t>& match =
+            dict_matches().Get(p, col, comparisons);
         const int64_t* data = col.data.data();
         for (size_t i = 0; i < n; ++i) {
           (*mask)[i] = match[static_cast<size_t>(data[begin + i])];

@@ -2,6 +2,7 @@
 #define BRYQL_STORAGE_COLUMNAR_PREDICATE_KERNEL_H_
 
 #include <cstdint>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -9,6 +10,26 @@
 #include "storage/columnar/column_store.h"
 
 namespace bryql {
+
+/// The dictionary match tables of one scan's predicate: entry c of a
+/// ColVal string predicate's table answers "does dictionary code c satisfy
+/// the predicate". A table is built on first use, counting one comparison
+/// per dictionary entry, and then reused. Parallel workers scanning one
+/// node share one instance (ParallelShared), so a run counts each table
+/// once at every degree; the first worker to need a table builds it under
+/// the lock.
+class DictMatchTables {
+ public:
+  /// `p`'s table over `col`'s dictionary. The reference stays valid for
+  /// the object's lifetime.
+  const std::vector<uint8_t>& Get(const Predicate* p,
+                                  const ColumnStore::Column& col,
+                                  size_t* comparisons);
+
+ private:
+  std::mutex mutex_;
+  std::unordered_map<const Predicate*, std::vector<uint8_t>> tables_;
+};
 
 /// Evaluates one Predicate directly on ColumnStore segments.
 ///
@@ -37,13 +58,14 @@ namespace bryql {
 /// paper's cost metric should see), and zone tests count nothing (they
 /// read per-segment metadata, not values).
 ///
-/// A kernel borrows `store` and `pred` (both must outlive it) and holds
-/// per-scan scratch (match tables), so instantiate one per operator, not
-/// per batch.
+/// A kernel borrows `store`, `pred` and `shared` (all must outlive it).
+/// Without `shared` it holds its own match tables, so instantiate one per
+/// operator, not per batch.
 class PredicateKernel {
  public:
-  PredicateKernel(const ColumnStore* store, const Predicate* pred)
-      : store_(store), pred_(pred) {}
+  PredicateKernel(const ColumnStore* store, const Predicate* pred,
+                  DictMatchTables* shared = nullptr)
+      : store_(store), pred_(pred), shared_(shared) {}
 
   enum class Zone { kNone, kMaybe, kAll };
 
@@ -66,16 +88,14 @@ class PredicateKernel {
   /// Evaluates `p` over [begin, end) into mask[0 .. end-begin).
   void EvalMask(const Predicate* p, size_t begin, size_t end,
                 std::vector<uint8_t>* mask, size_t* comparisons);
-  /// Match table for a ColVal string predicate: entry c answers "does
-  /// dictionary code c satisfy the predicate". Built lazily, cached for
-  /// the kernel's lifetime.
-  const std::vector<uint8_t>& DictMatches(const Predicate* p,
-                                          const ColumnStore::Column& col,
-                                          size_t* comparisons);
+  DictMatchTables& dict_matches() {
+    return shared_ != nullptr ? *shared_ : own_;
+  }
 
   const ColumnStore* store_;
   const Predicate* pred_;
-  std::unordered_map<const Predicate*, std::vector<uint8_t>> dict_match_;
+  DictMatchTables* shared_;
+  DictMatchTables own_;
 };
 
 }  // namespace bryql

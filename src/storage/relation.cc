@@ -98,7 +98,8 @@ Result<bool> Relation::InsertRow(T&& tuple) {
     if (entry.row == RowIdIndex::kNoRow) return TooManyRows();
     return false;
   }
-  Append(std::forward<T>(tuple));
+  rows_.push_back(std::forward<T>(tuple));
+  IndexLastRow();
   return true;
 }
 
@@ -116,7 +117,8 @@ Result<bool> Relation::InsertProjection(const Tuple& tuple,
     if (entry.row == RowIdIndex::kNoRow) return TooManyRows();
     return false;
   }
-  Append(tuple.Project(columns));
+  rows_.emplace_back().AssignProject(tuple, columns);
+  IndexLastRow();
   return true;
 }
 
@@ -129,12 +131,12 @@ std::vector<Tuple> Relation::TakeRows() {
   return taken;
 }
 
-void Relation::Append(Tuple tuple) {
+void Relation::IndexLastRow() {
+  const size_t row = rows_.size() - 1;
   for (auto& [column, column_index] : column_indexes_) {
-    column_index[tuple.at(column)].push_back(rows_.size());
+    column_index[rows_[row].at(column)].push_back(row);
   }
-  if (columnar_) columnar_->Append(tuple);
-  rows_.push_back(std::move(tuple));
+  if (columnar_) columnar_->Append(rows_[row]);
 }
 
 void Relation::BuildColumnStore() {

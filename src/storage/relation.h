@@ -75,8 +75,9 @@ class Relation {
 
   /// Inserts the projection of `tuple` onto `columns` (which must number
   /// arity()), hashed and compared in place: the projected tuple is built
-  /// only when it is new. Join key sets and projection dedup use this.
-  /// `hash` must be `tuple.HashOf(columns)`.
+  /// only when it is new, in place at the end of rows(). Join key sets and
+  /// projection dedup use this. `hash` must be `tuple.HashOf(columns)`;
+  /// `tuple` must not be a row of this relation (appending may move it).
   Result<bool> InsertProjection(const Tuple& tuple,
                                 const std::vector<size_t>& columns,
                                 size_t hash);
@@ -148,9 +149,9 @@ class Relation {
 
   template <typename T>
   Result<bool> InsertRow(T&& tuple);
-  /// Appends a row just admitted to the index: secondary indexes and the
-  /// column store follow.
-  void Append(Tuple tuple);
+  /// Secondary indexes and the column store follow the row just appended
+  /// to rows_.
+  void IndexLastRow();
 
   size_t arity_;
   std::vector<Tuple> rows_;

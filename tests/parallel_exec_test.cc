@@ -220,6 +220,21 @@ TEST_P(ParallelDifferentialTest, IndexedSuiteAgreesAcrossThreadCounts) {
   ExpectSuiteParity(db, Strategy::kBry, {1u, 2u, 8u});
 }
 
+/// Column stores of several 1024-row segments (4000 students fill four
+/// segments of `student`): workers evaluate different segments of one
+/// scan, and a dictionary match table is still built — and its
+/// comparisons counted — once per scan node per run, as serially.
+/// Repeated, since which workers reach a string segment varies.
+TEST_P(ParallelDifferentialTest, ColumnarSuiteAgreesAcrossThreadCounts) {
+  UniversityConfig config = SmallConfig(GetParam());
+  config.students = 4000;
+  Database db = MakeUniversity(config);
+  db.EnableColumnarAll();
+  for (int round = 0; round < 3; ++round) {
+    ExpectSuiteParity(db, Strategy::kBry, {2u, 4u, 8u});
+  }
+}
+
 /// The classical translation's range products are keyless hash joins:
 /// their build sides are drained once into a shared build like any join.
 /// The products grow with the product of the ranges (sec1-running probes
