@@ -20,8 +20,6 @@
 //   .domclose                 toggle Domain Closure mode (§2.1)
 //   .strategy <name>          bry | bry-division | bry-union-filters |
 //                             quel-counting | classical | nested-loop
-//   .threads <n>              morsel-parallel execution with n workers
-//                             (0 = serial, the default; 1 is serial too)
 //   .columnar on|off          build column stores and let the lowering
 //                             pick zone-pruned columnar scans (off =
 //                             row path only; answers never change)
@@ -82,7 +80,6 @@ int main(int argc, char** argv) {
   ViewSet views;
   Strategy strategy = Strategy::kBry;
   bool domain_closure = false;
-  size_t num_threads = 0;
   bool use_service = false;
   bool use_columnar = false;
 
@@ -117,8 +114,8 @@ int main(int argc, char** argv) {
                 << "commands: .load name file.csv | .rel name rows... ; |\n"
                 << "          .relations | .explain <query> | "
                    ".explain physical <query> |\n"
-                << "          .strategy <name> | .threads <n> | "
-                   ".columnar on|off | .service | .quit\n";
+                << "          .strategy <name> | .columnar on|off | "
+                   ".service | .quit\n";
       continue;
     }
     if (line == ".relations") {
@@ -137,18 +134,6 @@ int main(int argc, char** argv) {
         std::cout << "strategy = " << StrategyName(strategy) << "\n";
       } else {
         std::cout << "unknown strategy\n";
-      }
-      continue;
-    }
-    if (line.rfind(".threads ", 0) == 0) {
-      std::istringstream in(line.substr(9));
-      size_t n = 0;
-      if (in >> n) {
-        num_threads = n;
-        std::cout << "threads = " << num_threads
-                  << (num_threads <= 1 ? " (serial)" : "") << "\n";
-      } else {
-        std::cout << "usage: .threads <n>\n";
       }
       continue;
     }
@@ -295,12 +280,10 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    QueryOptions run_options;
-    run_options.num_threads = num_threads;
     Execution execution;
     if (use_service) {
       QueryService service(&qp);
-      auto reply = service.Run(line, strategy, run_options);
+      auto reply = service.Run(line, strategy);
       if (!reply.ok()) {
         std::cout << reply.status() << "\n";
         continue;
@@ -308,11 +291,13 @@ int main(int argc, char** argv) {
       if (reply->attempts > 1 || reply->degradation_level > 0) {
         std::cout << "-- service: " << reply->attempts << " attempt(s), "
                   << "degradation level " << reply->degradation_level
+                  << (reply->degradation_level > 0 ? " (plan cache bypassed)"
+                                                   : "")
                   << "\n";
       }
       execution = std::move(reply->execution);
     } else {
-      auto exec = qp.Run(line, strategy, run_options);
+      auto exec = qp.Run(line, strategy);
       if (!exec.ok()) {
         std::cout << exec.status() << "\n";
         continue;

@@ -11,11 +11,10 @@
 #   3. an ASan+UBSan configuration with failpoints compiled in, so the
 #      fault-injection stress tests actually run and every injected
 #      failure path is checked for leaks and UB, and
-#   4. a TSan configuration running the parallel-execution, service and
-#      value tests, so the morsel-driven runtime's sharing (morsel
-#      dispensers, shared builds, sharded seen-sets, budget
-#      reconciliation), the service layer's admission/retry machinery and
-#      the process-wide string pool are race-checked, and
+#   4. a TSan configuration running the concurrent-processor, service and
+#      value tests, so queries sharing one processor (plan cache, lazily
+#      rebuilt views, column stores), the service layer's admission/retry
+#      machinery and the process-wide string pool are race-checked, and
 #   5. a chaos sweep: the seeded fault-injection harness re-run across
 #      fixed seeds against the failpoints build, asserting every reply
 #      under randomized faults is either the fault-free oracle answer or
@@ -51,20 +50,20 @@ cmake -B build-asan -S . \
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "== [4/5] thread-sanitized build + parallel/service tests =="
+echo "== [4/5] thread-sanitized build + concurrency/service tests =="
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DBRYQL_SANITIZE="thread" \
   -DBRYQL_FAILPOINTS=ON >/dev/null
 cmake --build build-tsan -j "$JOBS"
-# The parallel suite exercises every shared structure; plan-cache and
-# prepared-query tests cover the concurrent QueryProcessor paths; the
-# service and chaos suites cover admission, retry and fault injection
-# under 8-way client concurrency; the columnar differential suite runs
-# ColumnarScanOp under morsels at 2 and 8 workers; the value suite
-# interns overlapping strings from 8 threads into the shared pool.
+# The concurrent-processor suite runs many queries at once through one
+# processor; plan-cache and prepared-query tests cover the concurrent
+# QueryProcessor paths; the service and chaos suites cover admission,
+# retry and fault injection under 8-way client concurrency; the columnar
+# differential suite runs the columnar scans; the value suite interns
+# overlapping strings from 8 threads into the shared pool.
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'parallel|plan_cache|prepared|service|columnar_differential|value'
+  -R 'concurrent|plan_cache|prepared|service|columnar_differential|value'
 
 echo "== [5/5] chaos seed sweep (failpoints build) =="
 cmake -B build-chaos -S . -DBRYQL_FAILPOINTS=ON >/dev/null

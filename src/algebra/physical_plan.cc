@@ -58,22 +58,6 @@ const char* PhysicalKindName(PhysicalKind kind) {
   return "?";
 }
 
-const char* ParallelRoleName(ParallelRole role) {
-  switch (role) {
-    case ParallelRole::kSerial:
-      return "serial";
-    case ParallelRole::kPipeline:
-      return "pipeline";
-    case ParallelRole::kPartition:
-      return "partition";
-    case ParallelRole::kBuildShared:
-      return "build-shared";
-    case ParallelRole::kMaterializeShared:
-      return "materialize-shared";
-  }
-  return "?";
-}
-
 namespace {
 
 std::string KeysToString(const std::vector<JoinKey>& keys) {
@@ -153,12 +137,7 @@ void AppendTree(const PhysicalNode& node, std::string* out, int indent) {
   *out += node.Label();
   *out += "  (arity=" + std::to_string(node.arity) +
           ", rows~" + Rounded(node.est_rows) +
-          ", cost~" + Rounded(node.est_cost);
-  if (node.parallel_role != ParallelRole::kSerial) {
-    *out += ", par=";
-    *out += ParallelRoleName(node.parallel_role);
-  }
-  *out += ")\n";
+          ", cost~" + Rounded(node.est_cost) + ")\n";
   for (const PhysicalPlanPtr& child : node.children) {
     AppendTree(*child, out, indent + 1);
   }

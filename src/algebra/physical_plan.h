@@ -52,21 +52,6 @@ enum class PhysicalKind {
 
 const char* PhysicalKindName(PhysicalKind kind);
 
-/// How a node participates in morsel-driven parallel execution
-/// (QueryOptions::num_threads > 1). Annotated by the lowering pass as
-/// static plan structure — the same plan runs serially or in parallel, so
-/// the role describes what the node *would* do at num_threads > 1, and is
-/// surfaced by the physical EXPLAIN.
-enum class ParallelRole {
-  kSerial,             // off the spine; always runs single-threaded
-  kPipeline,           // replicated per worker, streams its partition
-  kPartition,          // scan fed by a shared morsel dispenser
-  kBuildShared,        // join build side, drained once into shared state
-  kMaterializeShared,  // materialized once, rows shared by all workers
-};
-
-const char* ParallelRoleName(ParallelRole role);
-
 class PhysicalNode;
 using PhysicalPlanPtr = std::shared_ptr<const PhysicalNode>;
 
@@ -114,10 +99,6 @@ struct PhysicalNode {
   /// Cost-model annotations (CostModel::Estimate at lowering time).
   double est_rows = 0;
   double est_cost = 0;
-
-  /// Parallel-execution role (lowering's exchange/merge placement); see
-  /// ParallelRole. kSerial nodes print no annotation.
-  ParallelRole parallel_role = ParallelRole::kSerial;
 
   /// One-line operator description, e.g.
   /// "HashJoin(anti, build=right, keys=[0=0])".

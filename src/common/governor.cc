@@ -21,33 +21,6 @@ QueryOptions QueryOptions::Unlimited() {
   return options;
 }
 
-SharedBudget::SharedBudget(const ResourceGovernor& parent)
-    : options_(parent.options_),
-      max_scanned_(parent.max_scanned_),
-      max_materialized_(parent.max_materialized_),
-      has_deadline_(parent.has_deadline_),
-      deadline_at_(parent.deadline_at_),
-      cancellation_(parent.cancellation_),
-      scanned_(parent.scanned_),
-      materialized_(parent.materialized_),
-      status_(parent.status_) {
-  if (!status_.ok()) stop_.store(true, std::memory_order_release);
-}
-
-void SharedBudget::Trip(const Status& status) {
-  if (status.ok()) return;
-  {
-    std::lock_guard<std::mutex> lock(status_mutex_);
-    if (status_.ok()) status_ = status;
-  }
-  stop_.store(true, std::memory_order_release);
-}
-
-Status SharedBudget::status() const {
-  std::lock_guard<std::mutex> lock(status_mutex_);
-  return status_;
-}
-
 ResourceGovernor::ResourceGovernor(const QueryOptions& options)
     : options_(options),
       max_scanned_(LimitOrUnlimited(options.max_scanned_tuples)),
@@ -60,26 +33,10 @@ ResourceGovernor::ResourceGovernor(const QueryOptions& options)
   }
 }
 
-ResourceGovernor::ResourceGovernor(SharedBudget* shared)
-    : options_(shared->options_),
-      // Budgets are enforced against the *shared* totals during flushes,
-      // never against this worker's private count — one worker seeing
-      // only its own share must not trip a limit the phase as a whole
-      // respects, and must not miss one it collectively exceeds.
-      max_scanned_(kUnlimited),
-      max_materialized_(kUnlimited),
-      max_plan_depth_(LimitOrUnlimited(shared->options_.max_plan_depth)),
-      has_deadline_(shared->has_deadline_),
-      deadline_at_(shared->deadline_at_),  // the phase's clock, not a new one
-      cancellation_(shared->cancellation_),
-      shared_(shared) {}
-
 bool ResourceGovernor::SlowCheck() {
   if (tripped()) return false;
-  if (shared_ != nullptr && !FlushShard()) return false;
   if (cancellation_ != nullptr && cancellation_->cancelled()) {
     status_ = Status::Cancelled("evaluation cancelled");
-    if (shared_ != nullptr) shared_->Trip(status_);
     return false;
   }
   if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_at_) {
@@ -89,80 +46,9 @@ bool ResourceGovernor::SlowCheck() {
                            options_.deadline)
                            .count()) +
         "ms exceeded");
-    if (shared_ != nullptr) shared_->Trip(status_);
     return false;
   }
   return true;
-}
-
-bool ResourceGovernor::FlushShard() {
-  if (scanned_ != scanned_flushed_) {
-    const size_t total =
-        shared_->scanned_.fetch_add(scanned_ - scanned_flushed_,
-                                    std::memory_order_relaxed) +
-        (scanned_ - scanned_flushed_);
-    scanned_flushed_ = scanned_;
-    if (total > shared_->max_scanned_) {
-      TripBudget("scanned", total, shared_->max_scanned_);
-      shared_->Trip(status_);
-      return false;
-    }
-  }
-  if (materialized_ != materialized_flushed_) {
-    const size_t total =
-        shared_->materialized_.fetch_add(
-            materialized_ - materialized_flushed_,
-            std::memory_order_relaxed) +
-        (materialized_ - materialized_flushed_);
-    materialized_flushed_ = materialized_;
-    if (total > shared_->max_materialized_) {
-      TripBudget("materialized", total, shared_->max_materialized_);
-      shared_->Trip(status_);
-      return false;
-    }
-  }
-  if (shared_->stop_requested()) {
-    Status pool_status = shared_->status();
-    if (pool_status.ok()) {
-      // A peer requested a cooperative stop (first witness found): not an
-      // error for the phase, but this worker's pipeline must unwind, so a
-      // sentinel status makes every subsequent admission fail.
-      early_stopped_ = true;
-      status_ = Status::Cancelled("stopped by parallel peer");
-    } else {
-      status_ = std::move(pool_status);
-    }
-    return false;
-  }
-  return true;
-}
-
-Status ResourceGovernor::Reconcile() {
-  if (shared_ == nullptr) return status_;
-  if (status_.ok()) {
-    FlushShard();
-  } else if (!early_stopped_ && scanned_ != scanned_flushed_) {
-    // Even a failed worker publishes its consumption so the phase totals
-    // stay exact; FlushShard keeps the first-trip status it already has.
-    shared_->scanned_.fetch_add(scanned_ - scanned_flushed_,
-                                std::memory_order_relaxed);
-    scanned_flushed_ = scanned_;
-  }
-  if (!status_.ok() && !early_stopped_ &&
-      materialized_ != materialized_flushed_) {
-    shared_->materialized_.fetch_add(materialized_ - materialized_flushed_,
-                                     std::memory_order_relaxed);
-    materialized_flushed_ = materialized_;
-  }
-  return status_;
-}
-
-void ResourceGovernor::AbsorbShared(const SharedBudget& shared) {
-  scanned_ = shared.scanned();
-  materialized_ = shared.materialized();
-  scanned_flushed_ = scanned_;
-  materialized_flushed_ = materialized_;
-  Trip(shared.status());
 }
 
 void ResourceGovernor::TripBudget(const char* what, size_t used,

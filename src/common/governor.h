@@ -5,7 +5,7 @@
 #include <chrono>
 #include <cstddef>
 #include <limits>
-#include <mutex>
+#include <string>
 
 #include "common/status.h"
 
@@ -63,14 +63,8 @@ struct QueryOptions {
   /// every ResourceGovernor::kCheckInterval = 1024 admissions/ticks —
   /// see the cadence note on ResourceGovernor::Tick.
   const CancellationToken* cancellation = nullptr;
-  /// Worker threads for batched physical execution. 0 or 1 = serial;
-  /// N > 1 fans each pipeline out into N morsel-fed partitions on the
-  /// shared ThreadPool. Every algebra
-  /// strategy honours it; the nested-loop strategy, which runs no physical
-  /// operators, ignores it.
-  /// Deliberately absent from the plan-cache key: the degree picks how a
-  /// plan is *driven*, not what it is, so one cached plan serves any
-  /// parallelism degree.
+  /// Inert and ignored (every run is serial); kept so existing callers,
+  /// the benchmark among them, still compile.
   size_t num_threads = 0;
   /// Skip the plan cache for this run: preparation runs cold and the
   /// result is not cached. A degradation rung of the service layer — a
@@ -80,65 +74,6 @@ struct QueryOptions {
 
   /// Everything unlimited — the pre-governor behaviour, for benchmarks.
   static QueryOptions Unlimited();
-};
-
-class ResourceGovernor;
-
-/// The shared side of a parallel evaluation's budget: one SharedBudget per
-/// parallel phase, fed by per-worker ResourceGovernor shards. Workers
-/// count admissions locally (no shared-cache traffic on the hot path) and
-/// reconcile their deltas into these atomics in chunks — every
-/// ResourceGovernor::kCheckInterval admissions and once more when the
-/// worker finishes — so a budget violation is detected at the latest at
-/// the end of the phase, and the trip verdict (tripped vs. not) is
-/// *exactly* the serial one because the totals are exactly the serial
-/// totals.
-///
-/// The stop flag doubles as the first-witness short-circuit channel: a
-/// worker that finds a witness calls RequestStop() without tripping a
-/// status, and its peers exit early with `early_stopped()` set on their
-/// shard instead of an error.
-class SharedBudget {
- public:
-  /// Snapshots `parent`'s options, deadline and progress so far; the
-  /// phase's workers draw down the remaining budget from here.
-  explicit SharedBudget(const ResourceGovernor& parent);
-
-  SharedBudget(const SharedBudget&) = delete;
-  SharedBudget& operator=(const SharedBudget&) = delete;
-
-  /// Latches the first non-OK status and raises the stop flag.
-  void Trip(const Status& status);
-  /// Raises the stop flag without a status — the cooperative
-  /// short-circuit ("a witness was found, everyone stop").
-  void RequestStop() { stop_.store(true, std::memory_order_release); }
-  bool stop_requested() const {
-    return stop_.load(std::memory_order_acquire);
-  }
-
-  Status status() const;
-  size_t scanned() const {
-    return scanned_.load(std::memory_order_relaxed);
-  }
-  size_t materialized() const {
-    return materialized_.load(std::memory_order_relaxed);
-  }
-
- private:
-  friend class ResourceGovernor;
-
-  QueryOptions options_;
-  size_t max_scanned_;
-  size_t max_materialized_;
-  bool has_deadline_;
-  std::chrono::steady_clock::time_point deadline_at_;
-  const CancellationToken* cancellation_;
-
-  std::atomic<size_t> scanned_;
-  std::atomic<size_t> materialized_;
-  std::atomic<bool> stop_{false};
-  mutable std::mutex status_mutex_;
-  Status status_;
 };
 
 /// Tracks one evaluation's resource consumption against a QueryOptions
@@ -158,24 +93,13 @@ class SharedBudget {
 /// poll equally often, because the counter advances per admission.
 ///
 /// A governor is single-evaluation, single-thread state (only the
-/// CancellationToken it polls is shared); create one per Run. Parallel
-/// runs keep that invariant per *worker*: each worker owns a private
-/// shard governor (the SharedBudget constructor form) and the shards
-/// reconcile into the shared atomics in kCheckInterval-sized chunks, so
-/// the hot path stays free of shared-cache traffic in both modes.
+/// CancellationToken it polls is shared); create one per Run.
 class ResourceGovernor {
  public:
   /// Ungoverned: all admissions succeed (modulo nothing), no deadline.
   ResourceGovernor() : ResourceGovernor(QueryOptions::Unlimited()) {}
 
   explicit ResourceGovernor(const QueryOptions& options);
-
-  /// A worker *shard* of a parallel phase: counts locally, enforces
-  /// nothing locally (local limits are unlimited), and reconciles into
-  /// `shared` every kCheckInterval admissions and at Reconcile(). The
-  /// deadline instant and cancellation token are copied from the shared
-  /// snapshot so every worker races the same clock.
-  explicit ResourceGovernor(SharedBudget* shared);
 
   ResourceGovernor(const ResourceGovernor&) = delete;
   ResourceGovernor& operator=(const ResourceGovernor&) = delete;
@@ -194,7 +118,7 @@ class ResourceGovernor {
   /// exactly the total of n per-row AdmitScan calls (bulk admission is a
   /// counter reshape, not a discount), so row and columnar executions of
   /// the same plan report bit-identical budget counters. The deadline /
-  /// cancellation / shard-flush slow path runs once per call — one poll
+  /// cancellation slow path runs once per call — one poll
   /// per segment of kCheckInterval rows, the same cadence the row path's
   /// per-admission tick mask produces.
   bool AdmitScanBulk(size_t n) {
@@ -219,16 +143,15 @@ class ResourceGovernor {
 
   /// A unit of work that consumes no tuple budget (e.g. one iteration of
   /// a join or product inner loop). Every kCheckInterval admissions/ticks
-  /// it polls deadline and cancellation (and, on a worker shard, flushes
-  /// counter deltas to the SharedBudget), so pipelines that filter
+  /// it polls deadline and cancellation, so pipelines that filter
   /// everything out still stop.
   bool Tick() {
     if ((++ticks_ & (kCheckInterval - 1)) != 0) return !tripped();
     return SlowCheck();
   }
 
-  /// Deadline/cancellation poll as a Status, for operator-open and
-  /// phase-boundary call sites.
+  /// Deadline/cancellation poll as a Status, for operator-open call
+  /// sites.
   Status CheckNow() {
     if (!SlowCheck()) return status_;
     return Status::Ok();
@@ -266,36 +189,12 @@ class ResourceGovernor {
   size_t scanned() const { return scanned_; }
   size_t materialized() const { return materialized_; }
 
-  /// Shard-mode only: publishes any unflushed counter deltas to the
-  /// SharedBudget and runs a final budget check, so violations a chunked
-  /// flush never reached (the worker stopped mid-chunk) are still
-  /// detected. Returns the shard's final status. Call exactly once when
-  /// the worker's partition is done.
-  Status Reconcile();
-
-  /// Shard-mode only: true when this worker stopped because a peer
-  /// requested a cooperative stop (first witness found), as opposed to a
-  /// real budget/deadline/cancellation trip. The driving phase treats
-  /// early-stopped workers as successful.
-  bool early_stopped() const { return early_stopped_; }
-
-  /// Phase-boundary only (single-threaded): adopts the totals and status
-  /// of a finished parallel phase, so subsequent serial work (or the next
-  /// phase's SharedBudget snapshot) continues from the right counts.
-  void AbsorbShared(const SharedBudget& shared);
-
   /// Deadline/cancel poll period, in admissions/ticks. Power of two so
-  /// the hot-path modulo is a mask. This is also the shard → SharedBudget
-  /// reconciliation chunk size in parallel runs.
+  /// the hot-path modulo is a mask.
   static constexpr size_t kCheckInterval = 1024;
 
  private:
-  friend class SharedBudget;
-
   bool SlowCheck();
-  /// Shard-mode: publishes counter deltas, checks the shared budget and
-  /// the stop flag. Returns false when this worker must stop.
-  bool FlushShard();
   void TripBudget(const char* what, size_t used, size_t limit);
 
   QueryOptions options_;
@@ -305,16 +204,11 @@ class ResourceGovernor {
   bool has_deadline_;
   std::chrono::steady_clock::time_point deadline_at_;
   const CancellationToken* cancellation_;
-  /// Null for a per-run governor; the phase's budget pool for a shard.
-  SharedBudget* shared_ = nullptr;
 
   size_t scanned_ = 0;
   size_t materialized_ = 0;
-  size_t scanned_flushed_ = 0;
-  size_t materialized_flushed_ = 0;
   size_t ticks_ = 0;
   size_t depth_ = 0;
-  bool early_stopped_ = false;
   Status status_;
 };
 

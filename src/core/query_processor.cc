@@ -154,9 +154,9 @@ std::string QueryProcessor::CacheKey(const std::string& text,
   // Everything that shapes the prepared artifacts must be in the key:
   // the strategy and translation-affecting processor state, the lowering
   // knobs, and the structural limits (a plan prepared under lax limits
-  // must not satisfy a stricter run). Batch size and thread count are
-  // deliberately absent — they pick how a plan is *driven*, not what it
-  // is, and Execute consults them directly. Views are handled by
+  // must not satisfy a stricter run). Batch size is deliberately absent
+  // — it picks how a plan is *driven*, not what it is, and Execute
+  // consults it directly. Views are handled by
   // invalidation (SetViews clears the cache).
   std::string key = StrategyName(strategy);
   key += '\x1f';

@@ -38,18 +38,13 @@ Result<PhysicalPlanPtr> Executor::Lower(const ExprPtr& expr) const {
   return LowerPlan(*db_, options_, expr);
 }
 
-// num_threads is a drive-time knob, not a plan property: the same
-// (cached) physical plan executes serially or morsel-parallel depending on
-// the options of the run at hand.
 Result<Relation> Executor::ExecutePhysical(const PhysicalPlanPtr& plan) {
-  PlanRuntime runtime(db_, options_.batch_size, &stats_, governor_,
-                      governor_->options().num_threads);
+  PlanRuntime runtime(db_, options_.batch_size, &stats_, governor_);
   return runtime.Run(plan);
 }
 
 Result<bool> Executor::ExecutePhysicalBool(const PhysicalPlanPtr& plan) {
-  PlanRuntime runtime(db_, options_.batch_size, &stats_, governor_,
-                      governor_->options().num_threads);
+  PlanRuntime runtime(db_, options_.batch_size, &stats_, governor_);
   return runtime.RunBool(plan);
 }
 

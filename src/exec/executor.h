@@ -32,8 +32,7 @@ struct ExecOptions {
 ///   * src/exec/lowering — compiles the logical Expr tree into a
 ///     PhysicalPlan (access paths, build side);
 ///   * src/exec/physical — batched Open/NextBatch/Close operators and the
-///     PlanRuntime that instantiates and drives plans, serially or
-///     morsel-parallel (QueryOptions::num_threads).
+///     PlanRuntime that instantiates and drives plans.
 ///
 /// Evaluate/EvaluateBool are Lower (depth and arity checks, then
 /// lowering), then ExecutePhysical/ExecutePhysicalBool. The operators implement the

@@ -232,83 +232,6 @@ class Lowerer {
   CostModel cost_;
 };
 
-/// Post-pass annotating each node's ParallelRole — the lowering-time
-/// record of where a parallel PlanRuntime places exchange (morsel
-/// dispensers) and merge (shared materialization) points. The walk
-/// mirrors PlanRuntime::PrepareSpine: the spine is the streaming path
-/// from the root through filters/projects/unions and join probe inputs
-/// (products included: they are keyless hash joins) down to the scans;
-/// everything hanging off it is computed once and shared.
-///
-/// The tree was freshly built above with a single owner, so the
-/// const_cast is sound — annotation finishes before the plan is
-/// published (cached, shared across threads).
-void AnnotateParallel(const PhysicalNode* cnode, bool on_spine) {
-  PhysicalNode* node = const_cast<PhysicalNode*>(cnode);
-  if (!on_spine) {
-    // Off-spine subtrees run serially (inside a coordinator
-    // materialization or a shared build drain); their descendants too.
-    node->parallel_role = ParallelRole::kSerial;
-    for (const PhysicalPlanPtr& child : node->children) {
-      AnnotateParallel(child.get(), false);
-    }
-    return;
-  }
-  switch (node->kind) {
-    case PhysicalKind::kTableScan:
-    case PhysicalKind::kLiteralScan:
-    case PhysicalKind::kIndexScan:
-    case PhysicalKind::kColumnarScan:
-      node->parallel_role = ParallelRole::kPartition;
-      break;
-    case PhysicalKind::kFilter:
-    case PhysicalKind::kProject:
-      node->parallel_role = ParallelRole::kPipeline;
-      AnnotateParallel(node->children[0].get(), true);
-      break;
-    case PhysicalKind::kUnion:
-      node->parallel_role = ParallelRole::kPipeline;
-      AnnotateParallel(node->children[0].get(), true);
-      AnnotateParallel(node->children[1].get(), true);
-      break;
-    case PhysicalKind::kHashJoin: {
-      // Probe side streams per worker; the build side is drained once
-      // (itself morsel-parallel) into the shared build structure.
-      node->parallel_role = ParallelRole::kPipeline;
-      const size_t probe = node->build_left ? 1 : 0;
-      AnnotateParallel(node->children[probe].get(), true);
-      PhysicalNode* build =
-          const_cast<PhysicalNode*>(node->children[1 - probe].get());
-      AnnotateParallel(build, true);
-      build->parallel_role = ParallelRole::kBuildShared;
-      break;
-    }
-    case PhysicalKind::kDivision:
-    case PhysicalKind::kGroupDivision:
-    case PhysicalKind::kGroupCount:
-      // Blocking operators terminate the spine: the coordinator computes
-      // them once (serially) and workers share the materialized result.
-      node->parallel_role = ParallelRole::kMaterializeShared;
-      for (const PhysicalPlanPtr& child : node->children) {
-        AnnotateParallel(child.get(), false);
-      }
-      break;
-    case PhysicalKind::kNonEmpty:
-    case PhysicalKind::kBoolNot:
-    case PhysicalKind::kBoolAnd:
-    case PhysicalKind::kBoolOr:
-      // Boolean subtrees evaluate once (their truth value is shared),
-      // but *through* the parallel witness machinery: composites
-      // short-circuit on the coordinator while each non-emptiness test
-      // races all workers over its child's spine.
-      node->parallel_role = ParallelRole::kMaterializeShared;
-      for (const PhysicalPlanPtr& child : node->children) {
-        AnnotateParallel(child.get(), true);
-      }
-      break;
-  }
-}
-
 }  // namespace
 
 Result<PhysicalPlanPtr> LowerPlan(const Database& db,
@@ -316,9 +239,7 @@ Result<PhysicalPlanPtr> LowerPlan(const Database& db,
                                   const ExprPtr& expr) {
   BRYQL_FAILPOINT("exec.lower.plan");
   Lowerer lowerer(db, options);
-  BRYQL_ASSIGN_OR_RETURN(PhysicalPlanPtr plan, lowerer.Lower(expr));
-  AnnotateParallel(plan.get(), /*on_spine=*/true);
-  return plan;
+  return lowerer.Lower(expr);
 }
 
 }  // namespace bryql

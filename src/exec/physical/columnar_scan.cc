@@ -2,17 +2,7 @@
 
 #include <algorithm>
 
-#include "exec/physical/parallel.h"
-
 namespace bryql {
-
-namespace {
-
-inline bool Advance(MorselSource* morsels, size_t* index, size_t* limit) {
-  return morsels != nullptr && morsels->Claim(index, limit);
-}
-
-}  // namespace
 
 PredicateKernel::Zone ColumnarScanOp::ZoneOf(size_t seg) {
   if (seg != cached_seg_) {
@@ -43,11 +33,9 @@ Status ColumnarScanOp::NextBatch(TupleBatch* out) {
     }
     sel_.clear();
     sel_pos_ = 0;
-    if (index_ >= limit_) {
-      if (!Advance(morsels_, &index_, &limit_)) break;
-    }
+    if (index_ >= store_->rows()) break;
     const size_t seg = index_ / kSegmentRows;
-    const size_t seg_end = std::min(limit_, (seg + 1) * kSegmentRows);
+    const size_t seg_end = std::min(store_->rows(), (seg + 1) * kSegmentRows);
     const PredicateKernel::Zone zone = ZoneOf(seg);
 
     if (zone == PredicateKernel::Zone::kNone) {

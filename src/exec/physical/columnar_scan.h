@@ -11,8 +11,6 @@
 
 namespace bryql {
 
-class MorselSource;
-
 /// Scan + filter fused over a relation's column store: per segment, a
 /// zone-map verdict either skips the segment (kNone), emits it wholesale
 /// (kAll), or runs the vectorized kernels into a selection vector whose
@@ -31,20 +29,12 @@ class MorselSource;
 /// Pruned segments are still admitted in bulk — they provably cannot
 /// contain the witness, and the row path would scan straight past those
 /// rows anyway.
-///
-/// With a MorselSource (parallel workers), claims are morsel-sized and
-/// morsel-aligned, and one morsel is one segment (kSegmentRows ==
-/// kMorselSize), so workers never split a segment's zone verdict. The
-/// workers of one node also share its dictionary match tables, so each is
-/// built and counted once per run, as serially.
 class ColumnarScanOp : public PhysicalOperator {
  public:
   ColumnarScanOp(const ColumnStore* store, PredicatePtr predicate,
-                 PhysicalContext ctx, MorselSource* morsels = nullptr,
-                 DictMatchTables* dict_matches = nullptr)
+                 PhysicalContext ctx)
       : store_(store), predicate_(std::move(predicate)),
-        kernel_(store, predicate_.get(), dict_matches), ctx_(ctx),
-        morsels_(morsels), limit_(morsels == nullptr ? store->rows() : 0) {}
+        kernel_(store, predicate_.get()), ctx_(ctx) {}
 
   Status Open() override { return Status::Ok(); }
   Status NextBatch(TupleBatch* out) override;
@@ -61,9 +51,7 @@ class ColumnarScanOp : public PhysicalOperator {
   PredicatePtr predicate_;
   PredicateKernel kernel_;
   PhysicalContext ctx_;
-  MorselSource* morsels_;
   size_t index_ = 0;
-  size_t limit_;  // end of the current morsel (== store rows serially)
 
   /// Selected-but-not-yet-emitted rows of the segment last evaluated.
   std::vector<size_t> sel_;

@@ -1,7 +1,5 @@
 #include "exec/physical/filter.h"
 
-#include "exec/physical/parallel.h"
-
 namespace bryql {
 
 Status FilterOp::NextBatch(TupleBatch* out) {
@@ -39,17 +37,9 @@ Status ProjectOp::NextBatch(TupleBatch* out) {
       // The projection is hashed and compared in place; only a fresh one
       // is built, stored once in the seen set and copied into its slot.
       const Tuple& t = in_[pos_++];
-      bool fresh = false;
-      if (shared_seen_ != nullptr) {
-        BRYQL_ASSIGN_OR_RETURN(
-            fresh, shared_seen_->InsertProjection(
-                       t, columns_,
-                       [out](const Tuple& stored) { *out->AddSlot() = stored; }));
-      } else {
-        BRYQL_ASSIGN_OR_RETURN(fresh, seen_.InsertProjection(t, columns_));
-        if (fresh) *out->AddSlot() = seen_.rows().back();
-      }
+      BRYQL_ASSIGN_OR_RETURN(bool fresh, seen_.InsertProjection(t, columns_));
       if (fresh) {
+        *out->AddSlot() = seen_.rows().back();
         if (!ctx_.governor->AdmitMaterialize()) return ctx_.governor->status();
         ++ctx_.stats->tuples_materialized;
       } else if (!ctx_.governor->Tick()) {

@@ -9,8 +9,6 @@
 
 namespace bryql {
 
-class ShardedTupleSet;
-
 /// σ_pred over a batched stream. Requests child batches no larger than the
 /// requested output capacity, so selective downstream pulls (first-witness
 /// tests) never over-read the input.
@@ -36,17 +34,12 @@ class FilterOp : public PhysicalOperator {
 /// materialization admission. The dedup set is a Relation: the projection
 /// is hashed and compared in place, built only when fresh, stored once
 /// and copy-assigned into its output slot.
-///
-/// With a shared seen-set (parallel workers) freshness is decided against
-/// the global ShardedTupleSet, so the same tuple reached through two
-/// workers is admitted exactly once — keeping the collective materialize
-/// count equal to the serial run's.
 class ProjectOp : public PhysicalOperator {
  public:
   ProjectOp(PhysicalOpPtr child, std::vector<size_t> columns,
-            PhysicalContext ctx, ShardedTupleSet* shared_seen = nullptr)
+            PhysicalContext ctx)
       : child_(std::move(child)), columns_(std::move(columns)), ctx_(ctx),
-        shared_seen_(shared_seen), in_(1), seen_(columns_.size()) {}
+        in_(1), seen_(columns_.size()) {}
   Status Open() override { return child_->Open(); }
   Status NextBatch(TupleBatch* out) override;
   void Close() override { child_->Close(); }
@@ -55,7 +48,6 @@ class ProjectOp : public PhysicalOperator {
   PhysicalOpPtr child_;
   std::vector<size_t> columns_;
   PhysicalContext ctx_;
-  ShardedTupleSet* shared_seen_;
   TupleBatch in_;
   size_t pos_ = 0;
   Relation seen_;

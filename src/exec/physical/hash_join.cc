@@ -1,17 +1,14 @@
 #include "exec/physical/hash_join.h"
 
-#include "exec/physical/parallel.h"
-
 namespace bryql {
 
 HashJoinOp::HashJoinOp(PhysicalOpPtr left, PhysicalOpPtr right,
                        std::vector<JoinKey> keys, JoinVariant variant,
                        PredicatePtr predicate, bool build_left,
-                       size_t pad_arity, PhysicalContext ctx,
-                       const SharedJoinBuild* shared_build)
+                       size_t pad_arity, PhysicalContext ctx)
     : left_(std::move(left)), right_(std::move(right)), variant_(variant),
       predicate_(std::move(predicate)), build_left_(build_left),
-      pad_arity_(pad_arity), ctx_(ctx), shared_build_(shared_build),
+      pad_arity_(pad_arity), ctx_(ctx),
       probe_cursor_(build_left ? right_.get() : left_.get()),
       key_set_(keys.size()) {
   for (const JoinKey& k : keys) {
@@ -28,19 +25,14 @@ Status HashJoinOp::Open() {
   PhysicalOperator* probe = build_left_ ? right_.get() : left_.get();
   PhysicalOperator* build = build_left_ ? left_.get() : right_.get();
   BRYQL_RETURN_NOT_OK(probe->Open());
-  if (shared_build_ == nullptr) {  // else built by the phase
-    BRYQL_RETURN_NOT_OK(build->Open());
-    BRYQL_RETURN_NOT_OK(DrainBuild(build));
-  }
+  BRYQL_RETURN_NOT_OK(build->Open());
+  BRYQL_RETURN_NOT_OK(DrainBuild(build));
   // An inner or semi join over an empty build side has an empty answer,
-  // so its probe side is never pulled. Parallel workers decide from the
-  // shared build, so every degree stops alike and counters stay equal.
-  // Anti, outer and mark joins emit every probe tuple and stream on.
-  const bool build_empty = shared_build_ != nullptr
-                               ? shared_build_->empty()
-                               : table_.empty() && key_set_.empty();
-  probe_done_ = build_empty && (variant_ == JoinVariant::kInner ||
-                                variant_ == JoinVariant::kSemi);
+  // so its probe side is never pulled. Anti, outer and mark joins emit
+  // every probe tuple and stream on.
+  probe_done_ = table_.empty() && key_set_.empty() &&
+                (variant_ == JoinVariant::kInner ||
+                 variant_ == JoinVariant::kSemi);
   return Status::Ok();
 }
 
@@ -50,8 +42,7 @@ Status HashJoinOp::DrainBuild(PhysicalOperator* build) {
     case JoinVariant::kLeftOuter:
       return Drain(build, ctx_, "exec.hash.insert", DrainAdmission::kEvery,
                    [this](const Tuple& t) -> Result<bool> {
-                     BRYQL_RETURN_NOT_OK(
-                         table_.Insert(t, t.HashOf(build_columns_)));
+                     BRYQL_RETURN_NOT_OK(table_.Insert(t));
                      return true;
                    });
     case JoinVariant::kSemi:
@@ -68,19 +59,15 @@ Status HashJoinOp::DrainBuild(PhysicalOperator* build) {
 void HashJoinOp::ProbeTable() {
   ++ctx_.stats->hash_probes;
   ctx_.stats->comparisons += probe_columns_.size();
-  const size_t hash = current_probe_.HashOf(probe_columns_);
-  match_table_ =
-      shared_build_ != nullptr ? &shared_build_->table(hash) : &table_;
-  match_row_ = match_table_->Find(current_probe_, probe_columns_, hash);
+  match_row_ = table_.Find(current_probe_, probe_columns_,
+                          current_probe_.HashOf(probe_columns_));
 }
 
 bool HashJoinOp::ProbeKeys() {
   ++ctx_.stats->hash_probes;
   ctx_.stats->comparisons += probe_columns_.size();
-  const size_t hash = current_probe_.HashOf(probe_columns_);
-  const Relation& keys =
-      shared_build_ != nullptr ? shared_build_->keys(hash) : key_set_;
-  return keys.ContainsProjection(current_probe_, probe_columns_, hash);
+  return key_set_.ContainsProjection(current_probe_, probe_columns_,
+                                     current_probe_.HashOf(probe_columns_));
 }
 
 Status HashJoinOp::NextBatch(TupleBatch* out) {
@@ -103,8 +90,8 @@ Status HashJoinOp::NextInner(TupleBatch* out) {
   while (!out->full() && !probe_done_) {
     if (!ctx_.governor->Tick()) return ctx_.governor->status();
     if (match_row_ != JoinTable::kEnd) {
-      const Tuple& partner = match_table_->row(match_row_);
-      match_row_ = match_table_->next(match_row_);
+      const Tuple& partner = table_.row(match_row_);
+      match_row_ = table_.next(match_row_);
       // Output columns are always left ++ right, whichever side built.
       Tuple* candidate = out->AddSlot();
       if (build_left_) {
@@ -149,9 +136,8 @@ Status HashJoinOp::NextSemiAnti(TupleBatch* out) {
 Status HashJoinOp::NextOuter(TupleBatch* out) {
   while (!out->full() && !probe_done_) {
     if (match_row_ != JoinTable::kEnd) {
-      out->AddSlot()->AssignConcat(current_probe_,
-                                   match_table_->row(match_row_));
-      match_row_ = match_table_->next(match_row_);
+      out->AddSlot()->AssignConcat(current_probe_, table_.row(match_row_));
+      match_row_ = table_.next(match_row_);
       continue;
     }
     bool have = false;

@@ -12,8 +12,6 @@
 
 namespace bryql {
 
-class SharedJoinBuild;
-
 /// The whole hash-join family of the paper behind one operator: inner
 /// join, semi-join, complement-join (Definition 6, kAnti), unidirectional
 /// outer join, and the space-saving constrained outer join (Definition 7,
@@ -30,11 +28,6 @@ class SharedJoinBuild;
 /// `build_left` (inner joins only) puts the left input on the build side
 /// when the lowering's cost model estimates it smaller; output column
 /// order stays left ++ right regardless.
-///
-/// With a SharedJoinBuild (parallel workers) the build side was drained
-/// once, concurrently, before this operator existed: Open skips the drain,
-/// probes go to the shared table, and the build-side operator pointer is
-/// null. Serial probes pay only a predicted-null branch.
 class HashJoinOp : public PhysicalOperator {
  public:
   /// `predicate` is the residual condition for kInner (evaluated on the
@@ -45,12 +38,12 @@ class HashJoinOp : public PhysicalOperator {
   HashJoinOp(PhysicalOpPtr left, PhysicalOpPtr right,
              std::vector<JoinKey> keys, JoinVariant variant,
              PredicatePtr predicate, bool build_left, size_t pad_arity,
-             PhysicalContext ctx, const SharedJoinBuild* shared_build = nullptr);
+             PhysicalContext ctx);
   Status Open() override;
   Status NextBatch(TupleBatch* out) override;
   void Close() override {
-    if (left_ != nullptr) left_->Close();
-    if (right_ != nullptr) right_->Close();
+    left_->Close();
+    right_->Close();
   }
 
  private:
@@ -76,15 +69,12 @@ class HashJoinOp : public PhysicalOperator {
   bool build_left_;
   size_t pad_arity_;
   PhysicalContext ctx_;
-  const SharedJoinBuild* shared_build_;
 
   BatchCursor probe_cursor_;
   JoinTable table_;  // kInner, kLeftOuter
   Relation key_set_;  // kSemi, kAnti, kMark
   Tuple current_probe_;
-  /// The table holding current_probe_'s partners and the next one to
-  /// emit, or kEnd.
-  const JoinTable* match_table_ = nullptr;
+  /// The next partner of current_probe_ to emit, or kEnd.
   uint32_t match_row_ = JoinTable::kEnd;
   bool probe_done_ = false;
 };

@@ -28,10 +28,10 @@ class JoinTable {
 
   bool empty() const { return rows_.empty(); }
 
-  /// Appends a build row; `hash` must be `row.HashOf(key_columns)`.
-  Status Insert(const Tuple& row, size_t hash) {
-    const RowIdIndex::Entry head =
-        index_.FindOrInsert(hash, rows_.size(), [&](uint32_t r) {
+  /// Appends a build row.
+  Status Insert(const Tuple& row) {
+    const RowIdIndex::Entry head = index_.FindOrInsert(
+        row.HashOf(key_columns_), rows_.size(), [&](uint32_t r) {
           return row.ColumnsEqual(key_columns_, rows_[r], key_columns_);
         });
     if (head.row == RowIdIndex::kNoRow) {

@@ -16,25 +16,15 @@
 
 namespace bryql {
 
-struct ParallelShared;
-
 /// Per-run context shared by every operator of one instantiated plan:
 /// catalog, counters, the run's ResourceGovernor, and the configured batch
 /// size. Plain borrowed pointers — the runtime driving the plan owns (or
 /// outlives) all of them.
-///
-/// `shared` is null in serial runs (the common case — every operator's
-/// hot path is untouched) and points at the coordinator's ParallelShared
-/// registry inside a parallel worker, where it redirects scans to morsel
-/// dispensers, joins to pre-built shared tables, and dedup operators to
-/// sharded global seen-sets. The redirection is decided once per node at
-/// instantiation time (PlanRuntime::Build), never per tuple.
 struct PhysicalContext {
   const Database* db = nullptr;
   ExecStats* stats = nullptr;
   ResourceGovernor* governor = nullptr;
   size_t batch_size = kDefaultBatchSize;
-  const ParallelShared* shared = nullptr;
 };
 
 /// A physical operator instance: runtime state for one PhysicalNode of a
@@ -126,16 +116,16 @@ class BlockingResultOp : public PhysicalOperator {
 /// input order, so runs at any batch size reach the same budget verdict.
 enum class DrainAdmission {
   /// Admit every tuple before inserting it, count fresh insertions
-  /// (relations, hash tables, division inputs, the final merge).
+  /// (relations, hash tables, division inputs).
   kEvery,
   /// Admit and count fresh insertions only; duplicates tick (key sets,
   /// divisors).
   kFresh,
 };
 
-/// The one drain loop of every blocking edge: hash builds (serial and
-/// parallel shared), division and group-count inputs, and the parallel
-/// final merge. Pulls `child` to exhaustion, calling
+/// The one drain loop of every blocking edge: hash builds, division and
+/// group-count inputs, and the root's materialization. Pulls `child` to
+/// exhaustion, calling
 /// `insert(tuple)` → Result<bool> (fresh, or an error that aborts the
 /// drain); `failpoint` fires per tuple. Returns the governor's status at
 /// exhaustion, so a trip latched anywhere below surfaces here.

@@ -1,6 +1,5 @@
 #include "exec/physical/runtime.h"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <new>
@@ -13,7 +12,6 @@
 #include "exec/physical/division.h"
 #include "exec/physical/filter.h"
 #include "exec/physical/hash_join.h"
-#include "exec/physical/parallel.h"
 #include "exec/physical/scan.h"
 #include "exec/physical/set_ops.h"
 
@@ -33,8 +31,7 @@ uint64_t NowNs() {
 /// pressure, a std::exception escaping operator code, or the
 /// "exec.physical.throw" failpoint simulating either — surfaces as a
 /// well-formed kInternal naming the operator instead of unwinding out of
-/// PlanRuntime::Run (or, worse, out of a ThreadPool worker closure, which
-/// would terminate the process). It holds an *index* into the stats
+/// PlanRuntime::Run. It holds an *index* into the stats
 /// vector, not a pointer — the vector grows while the plan is being
 /// instantiated.
 class TimedOp : public PhysicalOperator {
@@ -106,26 +103,11 @@ bool IsBoolean(PhysicalKind kind) {
          kind == PhysicalKind::kBoolAnd || kind == PhysicalKind::kBoolOr;
 }
 
-/// The witness-vs-budget race (see PlanRuntime): under a finite tuple
-/// budget the serial engine deterministically either finds the witness or
-/// trips, depending on scan order; racing workers would make that verdict
-/// scheduling-dependent.
-bool HasFiniteTupleBudget(const QueryOptions& options) {
-  return options.max_scanned_tuples != 0 ||
-         options.max_materialized_tuples != 0;
-}
-
 }  // namespace
 
 PlanRuntime::PlanRuntime(const Database* db, size_t batch_size,
-                         ExecStats* stats, ResourceGovernor* governor,
-                         size_t workers, const ParallelShared* shared)
-    : ctx_{db, stats, governor, batch_size == 0 ? 1 : batch_size, shared},
-      workers_(std::min(workers, kMaxWorkers)),
-      registry_(workers_ > 1 ? std::make_unique<ParallelShared>() : nullptr) {
-}
-
-PlanRuntime::~PlanRuntime() = default;
+                         ExecStats* stats, ResourceGovernor* governor)
+    : ctx_{db, stats, governor, batch_size == 0 ? 1 : batch_size} {}
 
 Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
                                          size_t depth) {
@@ -142,30 +124,13 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
       OperatorStats{node->Label(), depth, 0, 0, 0, 0});
 
   PhysicalOpPtr op;
-  // Parallel workers: a node the coordinator already materialized (a
-  // blocking operator, a boolean subtree, …) is replaced wholesale by a
-  // scan over the shared result — morsel-partitioned, with no admissions,
-  // exactly like the serial BlockingResultOp streaming it would be.
-  if (ctx_.shared != nullptr) {
-    if (const std::vector<Tuple>* rows = ctx_.shared->FindRows(node.get())) {
-      op = PhysicalOpPtr(
-          new RelationScanOp(rows, ctx_.shared->FindMorsels(node.get())));
-      return PhysicalOpPtr(new TimedOp(std::move(op), node->Label(),
-                                       ctx_.stats, op_index, ctx_.governor));
-    }
-  }
-  // In serial runs every Find* below is a null `shared` short-circuit;
-  // the decisions are per *node*, so the per-tuple hot paths are shared
-  // between both modes unchanged.
-  MorselSource* morsels =
-      ctx_.shared == nullptr ? nullptr : ctx_.shared->FindMorsels(node.get());
   // Children instantiate left to right, so the whole tree is root-first.
   auto input = [&](size_t i) { return Build(node->children[i], depth + 1); };
   // A stale plan — cached across a catalog change that dropped the index
   // or column store it was lowered against — recovers on the row path: a
   // full scan under the node's whole selection.
   auto row_path = [&](const Relation* rel, PredicatePtr selection) {
-    PhysicalOpPtr scan(new TableScanOp(&rel->rows(), ctx_, morsels));
+    PhysicalOpPtr scan(new TableScanOp(&rel->rows(), ctx_));
     if (selection == nullptr) return scan;
     return PhysicalOpPtr(
         new FilterOp(std::move(scan), std::move(selection), ctx_));
@@ -175,12 +140,11 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
       BRYQL_FAILPOINT("exec.scan.open");
       BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
                              ctx_.db->Get(node->relation_name));
-      op = PhysicalOpPtr(new TableScanOp(&rel->rows(), ctx_, morsels));
+      op = PhysicalOpPtr(new TableScanOp(&rel->rows(), ctx_));
       break;
     }
     case PhysicalKind::kLiteralScan: {
-      op = PhysicalOpPtr(
-          new TableScanOp(&node->literal->rows(), ctx_, morsels));
+      op = PhysicalOpPtr(new TableScanOp(&node->literal->rows(), ctx_));
       break;
     }
     case PhysicalKind::kIndexScan: {
@@ -194,12 +158,10 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
                                : Predicate::And({eq, node->predicate}));
         break;
       }
-      // One bucket lookup per run: with shared morsels the coordinator
-      // counted it in PrepareSpine, not once per worker.
-      if (morsels == nullptr) ++ctx_.stats->hash_probes;
+      ++ctx_.stats->hash_probes;  // one bucket lookup per run
       op = PhysicalOpPtr(new IndexScanOp(
           rel, &rel->Matches(node->index_column, node->index_value),
-          node->predicate, ctx_, morsels));
+          node->predicate, ctx_));
       break;
     }
     case PhysicalKind::kColumnarScan: {
@@ -210,10 +172,8 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
         op = row_path(rel, node->predicate);
         break;
       }
-      op = PhysicalOpPtr(new ColumnarScanOp(
-          rel->column_store(), node->predicate, ctx_, morsels,
-          ctx_.shared == nullptr ? nullptr
-                                 : ctx_.shared->FindDictMatches(node.get())));
+      op = PhysicalOpPtr(
+          new ColumnarScanOp(rel->column_store(), node->predicate, ctx_));
       break;
     }
     case PhysicalKind::kFilter: {
@@ -224,28 +184,15 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
     }
     case PhysicalKind::kProject: {
       BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr child, input(0));
-      ShardedTupleSet* seen =
-          ctx_.shared == nullptr ? nullptr : ctx_.shared->FindSeen(node.get());
-      op = PhysicalOpPtr(
-          new ProjectOp(std::move(child), node->columns, ctx_, seen));
+      op = PhysicalOpPtr(new ProjectOp(std::move(child), node->columns, ctx_));
       break;
     }
     case PhysicalKind::kHashJoin: {
-      // Parallel workers: a pre-built SharedJoinBuild replaces the build
-      // side wholesale — only the probe child is instantiated, and the
-      // build-side slot stays null.
-      const SharedJoinBuild* shared_build =
-          ctx_.shared == nullptr ? nullptr : ctx_.shared->FindBuild(node.get());
-      const size_t build_index = node->build_left ? 0 : 1;
-      PhysicalOpPtr inputs[2];
-      for (size_t i = 0; i < 2; ++i) {
-        if (shared_build != nullptr && i == build_index) continue;
-        BRYQL_ASSIGN_OR_RETURN(inputs[i], input(i));
-      }
+      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr left, input(0));
+      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr right, input(1));
       op = PhysicalOpPtr(new HashJoinOp(
-          std::move(inputs[0]), std::move(inputs[1]), node->keys,
-          node->variant, node->predicate, node->build_left, node->pad_arity,
-          ctx_, shared_build));
+          std::move(left), std::move(right), node->keys, node->variant,
+          node->predicate, node->build_left, node->pad_arity, ctx_));
       break;
     }
     case PhysicalKind::kDivision: {
@@ -273,10 +220,8 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
     case PhysicalKind::kUnion: {
       BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr left, input(0));
       BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr right, input(1));
-      ShardedTupleSet* seen =
-          ctx_.shared == nullptr ? nullptr : ctx_.shared->FindSeen(node.get());
       op = PhysicalOpPtr(new UnionOp(std::move(left), std::move(right),
-                                     node->arity, ctx_, seen));
+                                     node->arity, ctx_));
       break;
     }
     case PhysicalKind::kNonEmpty:
@@ -297,7 +242,6 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
 
 Result<Relation> PlanRuntime::Run(const PhysicalPlanPtr& plan) {
   if (IsBoolean(plan->kind)) return RunTruth(plan);
-  if (workers_ > 1) return RunParallel(plan);
   Relation rel(plan->arity);
   BRYQL_RETURN_NOT_OK(Drive(plan, [&](PhysicalOperator* op) {
     return DrainToRelation(op, ctx_, &rel);
@@ -329,14 +273,6 @@ Status PlanRuntime::Drive(
 }
 
 Result<bool> PlanRuntime::NonEmpty(const PhysicalPlanPtr& child) {
-  if (workers_ > 1) {
-    if (!HasFiniteTupleBudget(ctx_.governor->options())) {
-      return WitnessRace(child);
-    }
-    // Racing workers against a finite budget would make witness-vs-trip
-    // scheduling-dependent; the serial pull decides it deterministically.
-    return Serial().NonEmpty(child);
-  }
   TupleBatch batch(1);
   BRYQL_RETURN_NOT_OK(Drive(
       child, [&](PhysicalOperator* op) { return op->NextBatch(&batch); }));

@@ -1,26 +1,10 @@
 #include "exec/physical/scan.h"
 
-#include "exec/physical/parallel.h"
-
 namespace bryql {
-namespace {
-
-/// Advances a (index, limit) window through its morsel source, if any.
-/// Serial scans (no source) initialize limit to the full input size, so
-/// this never fires and the hot loop is identical to the pre-parallel
-/// code.
-inline bool Advance(MorselSource* morsels, size_t* index, size_t* limit) {
-  return morsels != nullptr && morsels->Claim(index, limit);
-}
-
-}  // namespace
 
 Status TableScanOp::NextBatch(TupleBatch* out) {
   out->Clear();
-  while (!out->full()) {
-    if (index_ >= limit_) {
-      if (!Advance(morsels_, &index_, &limit_)) break;
-    }
+  while (!out->full() && index_ < rows_->size()) {
     if (!ctx_.governor->AdmitScan()) return ctx_.governor->status();
     ++ctx_.stats->tuples_scanned;
     *out->AddSlot() = (*rows_)[index_++];
@@ -30,10 +14,7 @@ Status TableScanOp::NextBatch(TupleBatch* out) {
 
 Status IndexScanOp::NextBatch(TupleBatch* out) {
   out->Clear();
-  while (!out->full()) {
-    if (index_ >= limit_) {
-      if (!Advance(morsels_, &index_, &limit_)) break;
-    }
+  while (!out->full() && index_ < matches_->size()) {
     if (!ctx_.governor->AdmitScan()) return ctx_.governor->status();
     const Tuple& row = rel_->rows()[(*matches_)[index_++]];
     ++ctx_.stats->tuples_scanned;
@@ -47,11 +28,8 @@ Status IndexScanOp::NextBatch(TupleBatch* out) {
 
 Status RelationScanOp::NextBatch(TupleBatch* out) {
   out->Clear();
-  while (!out->full()) {
-    if (index_ >= limit_) {
-      if (!Advance(morsels_, &index_, &limit_)) break;
-    }
-    *out->AddSlot() = (*rows_)[index_++];
+  while (!out->full() && index_ < rel_.size()) {
+    *out->AddSlot() = rel_.rows()[index_++];
   }
   return Status::Ok();
 }

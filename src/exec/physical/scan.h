@@ -10,44 +10,29 @@
 
 namespace bryql {
 
-class MorselSource;
-
 /// Full scan over a borrowed row vector (base relations and literals).
 /// Every row read is admitted through the governor as a base-table scan.
-///
-/// With a MorselSource (parallel workers) the scan reads whatever row
-/// ranges it can claim from the shared dispenser instead of [0, n);
-/// across all workers the claims cover each row exactly once, so the
-/// collective scan admissions equal the serial count.
 class TableScanOp : public PhysicalOperator {
  public:
-  TableScanOp(const std::vector<Tuple>* rows, PhysicalContext ctx,
-              MorselSource* morsels = nullptr)
-      : rows_(rows), ctx_(ctx), morsels_(morsels),
-        limit_(morsels == nullptr ? rows->size() : 0) {}
+  TableScanOp(const std::vector<Tuple>* rows, PhysicalContext ctx)
+      : rows_(rows), ctx_(ctx) {}
   Status Open() override { return Status::Ok(); }
   Status NextBatch(TupleBatch* out) override;
 
  private:
   const std::vector<Tuple>* rows_;
   PhysicalContext ctx_;
-  MorselSource* morsels_;
   size_t index_ = 0;
-  size_t limit_;  // end of the current morsel (== rows->size() serially)
 };
 
 /// Hash-index bucket lookup with a residual filter. Only touched rows
-/// count as scanned — the whole point of the index. A MorselSource, when
-/// present, partitions the *match list* (not the base table) across
-/// workers.
+/// count as scanned — the whole point of the index.
 class IndexScanOp : public PhysicalOperator {
  public:
   IndexScanOp(const Relation* rel, const std::vector<size_t>* matches,
-              PredicatePtr residual, PhysicalContext ctx,
-              MorselSource* morsels = nullptr)
+              PredicatePtr residual, PhysicalContext ctx)
       : rel_(rel), matches_(matches), residual_(std::move(residual)),
-        ctx_(ctx), morsels_(morsels),
-        limit_(morsels == nullptr ? matches->size() : 0) {}
+        ctx_(ctx) {}
   Status Open() override { return Status::Ok(); }
   Status NextBatch(TupleBatch* out) override;
 
@@ -56,34 +41,21 @@ class IndexScanOp : public PhysicalOperator {
   const std::vector<size_t>* matches_;
   PredicatePtr residual_;
   PhysicalContext ctx_;
-  MorselSource* morsels_;
   size_t index_ = 0;
-  size_t limit_;
 };
 
-/// Streams an intermediate relation: a boolean sub-evaluation's {()}/{}
-/// it owns, or — in parallel workers — rows the coordinator materialized
-/// once and registered in ParallelShared, partitioned across the workers
-/// by a MorselSource. Reads are not admissions: `tuples_scanned` counts
-/// base-relation reads only, and serial execution streams the same
-/// intermediates without counting.
+/// Streams an intermediate relation it owns: a boolean sub-evaluation's
+/// {()}/{}. Reads are not admissions: `tuples_scanned` counts
+/// base-relation reads only.
 class RelationScanOp : public PhysicalOperator {
  public:
-  explicit RelationScanOp(Relation rel)
-      : owned_(std::move(rel)), rows_(&owned_.rows()), morsels_(nullptr),
-        limit_(rows_->size()) {}
-  RelationScanOp(const std::vector<Tuple>* rows, MorselSource* morsels)
-      : owned_(0), rows_(rows), morsels_(morsels),
-        limit_(morsels == nullptr ? rows->size() : 0) {}
+  explicit RelationScanOp(Relation rel) : rel_(std::move(rel)) {}
   Status Open() override { return Status::Ok(); }
   Status NextBatch(TupleBatch* out) override;
 
  private:
-  Relation owned_;  // empty when borrowing
-  const std::vector<Tuple>* rows_;
-  MorselSource* morsels_;
+  Relation rel_;
   size_t index_ = 0;
-  size_t limit_;
 };
 
 }  // namespace bryql

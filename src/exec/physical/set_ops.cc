@@ -1,7 +1,5 @@
 #include "exec/physical/set_ops.h"
 
-#include "exec/physical/parallel.h"
-
 namespace bryql {
 
 Status UnionOp::NextBatch(TupleBatch* out) {
@@ -16,9 +14,7 @@ Status UnionOp::NextBatch(TupleBatch* out) {
       on_left_ = false;
       continue;
     }
-    BRYQL_ASSIGN_OR_RETURN(
-        bool fresh,
-        shared_seen_ != nullptr ? shared_seen_->Insert(t) : seen_.Insert(t));
+    BRYQL_ASSIGN_OR_RETURN(bool fresh, seen_.Insert(t));
     if (fresh) {
       if (!ctx_.governor->AdmitMaterialize()) return ctx_.governor->status();
       ++ctx_.stats->tuples_materialized;

@@ -7,25 +7,19 @@
 
 namespace bryql {
 
-class ShardedTupleSet;
-
 /// Union with streaming dedup: the left input streams through first, then
 /// the right; duplicates collapse against everything already emitted.
 /// Fresh tuples are admitted as materializations, duplicates only tick —
 /// the union buys its set semantics with the memory the dedup set costs.
 /// The dedup set is a Relation of the output `arity`: a fresh tuple is
 /// copied into it once.
-///
-/// With a shared seen-set (parallel workers) freshness is global across
-/// workers, matching the serial admission count exactly (see ProjectOp).
 class UnionOp : public PhysicalOperator {
  public:
   UnionOp(PhysicalOpPtr left, PhysicalOpPtr right, size_t arity,
-          PhysicalContext ctx,
-          ShardedTupleSet* shared_seen = nullptr)
+          PhysicalContext ctx)
       : left_(std::move(left)), right_(std::move(right)),
         left_cursor_(left_.get()), right_cursor_(right_.get()), ctx_(ctx),
-        shared_seen_(shared_seen), seen_(arity) {}
+        seen_(arity) {}
   Status Open() override {
     BRYQL_RETURN_NOT_OK(left_->Open());
     return right_->Open();
@@ -42,7 +36,6 @@ class UnionOp : public PhysicalOperator {
   BatchCursor left_cursor_;
   BatchCursor right_cursor_;
   PhysicalContext ctx_;
-  ShardedTupleSet* shared_seen_;
   bool on_left_ = true;
   Relation seen_;
 };

@@ -7,8 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/thread_pool.h"
-
 namespace bryql {
 
 namespace {
@@ -61,9 +59,7 @@ std::string ServiceStats::ToString() const {
          " queue_timeouts=" + std::to_string(queue_timeouts) +
          " retries=" + std::to_string(retries) +
          " transient_failures=" + std::to_string(transient_failures) +
-         " degraded_serial=" + std::to_string(degraded_serial) +
          " degraded_cache_bypass=" + std::to_string(degraded_cache_bypass) +
-         " overload_degraded=" + std::to_string(overload_degraded) +
          " peak_running=" + std::to_string(peak_running) +
          " peak_waiting=" + std::to_string(peak_waiting);
 }
@@ -74,9 +70,8 @@ QueryService::QueryService(const QueryProcessor* processor,
       options_(options),
       max_concurrency_(options.max_concurrency != 0
                            ? options.max_concurrency
-                           : ThreadPool::Shared().size()),
+                           : std::max(2u, std::thread::hardware_concurrency())),
       avg_latency_ns_(kInitialLatencyEstimateNs) {
-  if (max_concurrency_ == 0) max_concurrency_ = 1;
   if (options_.max_queue_depth == 0) options_.max_queue_depth = 1;
   if (options_.retry.max_attempts == 0) options_.retry.max_attempts = 1;
 }
@@ -98,8 +93,6 @@ QueryService::AdmitResult QueryService::Admit(
   const size_t p = static_cast<size_t>(priority);
   std::unique_lock<std::mutex> lock(mutex_);
   AdmitResult result;
-  result.occupancy = static_cast<double>(waiting_total_) /
-                     static_cast<double>(options_.max_queue_depth);
 
   // Fast path: a free slot and nobody waiting — seat immediately without
   // queue traffic. Keeps peak_waiting meaning "callers that actually
@@ -251,23 +244,13 @@ Result<ServiceReply> QueryService::Submit(const ServiceRequest& request) {
     ~SlotGuard() { service->Release(); }
   } slot_guard{this};
 
-  // Overload degradation: when the queue was congested at admission, new
-  // work starts one rung down (serial) so the backlog drains faster.
-  int base_level = 0;
-  if (options_.enable_degradation &&
-      admit.occupancy >= options_.overload_degrade_threshold) {
-    base_level = 1;
-    overload_degraded_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   Result<ServiceReply> outcome =
       Status::Internal("service attempt loop never ran");
   Status last;
   for (size_t attempt = 0; attempt < options_.retry.max_attempts; ++attempt) {
-    const int level =
-        options_.enable_degradation
-            ? std::min(base_level + static_cast<int>(attempt), 2)
-            : 0;
+    // Ladder: the first attempt runs as requested, every retry bypasses
+    // the plan cache.
+    const int level = options_.enable_degradation && attempt > 0 ? 1 : 0;
     QueryOptions attempt_options = request.options;
     if (has_deadline) {
       const auto now = std::chrono::steady_clock::now();
@@ -278,11 +261,7 @@ Result<ServiceReply> QueryService::Submit(const ServiceRequest& request) {
       }
       attempt_options.deadline = deadline - now;
     }
-    if (level >= 1) {
-      attempt_options.num_threads = 0;
-      degraded_serial_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (level >= 2) {
+    if (level == 1) {
       attempt_options.bypass_plan_cache = true;
       degraded_cache_bypass_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -367,10 +346,8 @@ ServiceStats QueryService::stats() const {
   s.retries = retries_.load(std::memory_order_relaxed);
   s.transient_failures =
       transient_failures_.load(std::memory_order_relaxed);
-  s.degraded_serial = degraded_serial_.load(std::memory_order_relaxed);
   s.degraded_cache_bypass =
       degraded_cache_bypass_.load(std::memory_order_relaxed);
-  s.overload_degraded = overload_degraded_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     s.peak_running = peak_running_;

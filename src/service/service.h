@@ -50,8 +50,8 @@ struct RetryPolicy {
 
 /// Configuration of a QueryService.
 struct ServiceOptions {
-  /// Queries evaluated concurrently. 0 = size of the shared ThreadPool
-  /// (one governed query per hardware worker).
+  /// Queries evaluated concurrently, each serially on its caller's
+  /// thread. 0 = max(2, std::thread::hardware_concurrency()).
   size_t max_concurrency = 0;
   /// Callers allowed to wait for a slot (all priorities together); the
   /// next caller beyond this is rejected immediately with
@@ -61,9 +61,6 @@ struct ServiceOptions {
   /// Master switch for the degradation ladder (below). Off = every
   /// attempt runs exactly as requested.
   bool enable_degradation = true;
-  /// Queue-occupancy fraction beyond which *new* work starts one rung
-  /// down the ladder (serial) so the backlog drains faster.
-  double overload_degrade_threshold = 0.5;
   /// Seed of the jitter stream (and nothing else — fault schedules are
   /// seeded at the failpoint layer).
   uint64_t seed = 0x5eed5eed5eed5eedull;
@@ -87,8 +84,7 @@ struct ServiceReply {
   /// Attempts consumed (1 = first try succeeded).
   size_t attempts = 1;
   /// Degradation-ladder rung of the successful attempt: 0 = as
-  /// requested, 1 = serial, 2 = serial + plan-cache bypass (the last
-  /// rung).
+  /// requested, 1 = plan-cache bypass (the last rung).
   int degradation_level = 0;
 };
 
@@ -111,11 +107,11 @@ struct ServiceStats {
   /// Attempts that failed with the transient class (kTransient, or
   /// barrier-contained kInternal — Status::IsContainedException()).
   size_t transient_failures = 0;
-  /// Attempts run at each degradation rung (an attempt at rung 2 counts
-  /// in both).
-  size_t degraded_serial = 0;
+  /// Attempts run at the plan-cache-bypass rung.
   size_t degraded_cache_bypass = 0;
-  /// Requests that *started* degraded because the queue was filling up.
+  /// Inert, always 0 (there is no serial rung); kept for existing readers.
+  size_t degraded_serial = 0;
+  /// Inert, always 0 (no overload degradation); kept for existing readers.
   size_t overload_degraded = 0;
   /// High-water marks of concurrent execution and queue depth.
   size_t peak_running = 0;
@@ -133,25 +129,22 @@ struct ServiceStats {
 ///     caller gets an immediate kResourceExhausted carrying a
 ///     "retry-after-ms=N" hint (RetryAfterMsHint) instead of a doomed
 ///     wait;
-///   * a concurrency limiter sized to the shared ThreadPool, so a burst
-///     of callers queues instead of oversubscribing the machine;
+///   * a concurrency limiter sized to the machine's cores, so a burst of
+///     callers queues instead of oversubscribing it;
 ///   * automatic retry with exponential backoff and seeded jitter for the
 ///     transient error class (kTransient injections, exception-barrier
 ///     kInternal), honouring the request deadline across attempts;
-///   * a graceful-degradation ladder: each retry steps down
-///     parallel → serial → serial + plan-cache bypass, and new work
-///     starts one rung down while the queue is congested — trading speed
-///     for survivability exactly when that trade is right. Every rung runs
-///     the same batched physical operators; the ladder sheds parallelism
-///     and a possibly poisoned cached plan, not the engine;
+///   * a graceful-degradation ladder: a retry steps down from the run as
+///     requested to a plan-cache bypass, which rebuilds a possibly
+///     poisoned cached plan from the text. Both rungs run the same
+///     serial physical operators;
 ///   * an exception backstop: any throw escaping the evaluation pipeline
 ///     (the engine's own barrier already contains operator throws)
 ///     becomes a well-formed kInternal, never a dead process.
 ///
 /// Execution happens on the *calling* thread after admission — the
 /// service adds no thread hops on the fault-free path (bench_service
-/// holds it under 3% overhead) and can never deadlock the ThreadPool,
-/// because it never submits work to it.
+/// holds it under 3% overhead).
 ///
 /// Thread-safe; `processor` must be shared-safe too (QueryProcessor is).
 class QueryService {
@@ -190,8 +183,6 @@ class QueryService {
     Status status;
     /// True when the caller holds an execution slot and must Release().
     bool admitted = false;
-    /// Queue occupancy observed at admission, for overload degradation.
-    double occupancy = 0.0;
   };
 
   AdmitResult Admit(Priority priority, uint64_t ticket,
@@ -234,7 +225,7 @@ class QueryService {
   mutable std::atomic<size_t> submitted_{0}, admitted_{0}, completed_{0},
       failed_{0}, rejected_queue_full_{0}, rejected_deadline_{0},
       queue_timeouts_{0}, retries_{0}, transient_failures_{0},
-      degraded_serial_{0}, degraded_cache_bypass_{0}, overload_degraded_{0};
+      degraded_cache_bypass_{0};
   size_t peak_running_ = 0;
   size_t peak_waiting_ = 0;
 };

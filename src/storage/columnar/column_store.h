@@ -11,10 +11,9 @@
 
 namespace bryql {
 
-/// Rows per column segment. Deliberately equal to kDefaultBatchSize and to
-/// the morsel size (exec/physical/parallel.h): one segment is one batch is
-/// one morsel, so a parallel worker's claim is always segment-aligned and
-/// the vectorized kernels never straddle a segment boundary.
+/// Rows per column segment. Deliberately equal to kDefaultBatchSize: one
+/// segment is one batch, and the vectorized kernels never straddle a
+/// segment boundary.
 inline constexpr size_t kSegmentRows = 1024;
 
 /// Per-segment statistics over one column, maintained incrementally on

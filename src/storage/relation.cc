@@ -1,7 +1,6 @@
 #include "storage/relation.h"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
 
 namespace bryql {
@@ -64,22 +63,6 @@ Result<Relation> Relation::FromRows(std::vector<Tuple> rows) {
   return rel;
 }
 
-Result<Relation> Relation::FromDistinctRows(size_t arity,
-                                            std::vector<Tuple> rows) {
-  if (rows.size() > RowIdIndex::kMaxRows) return TooManyRows();
-  Relation rel(arity);
-  rel.rows_ = std::move(rows);
-  for (size_t i = 0; i < rel.rows_.size(); ++i) {
-    const Tuple& row = rel.rows_[i];
-    if (row.arity() != arity) {
-      return ArityMismatch("FromDistinctRows", row.arity(), arity);
-    }
-    assert(!rel.Contains(row) && "FromDistinctRows: duplicate row");
-    rel.index_.InsertDistinct(row.Hash(), static_cast<uint32_t>(i));
-  }
-  return rel;
-}
-
 Result<bool> Relation::Insert(const Tuple& tuple) { return InsertRow(tuple); }
 
 Result<bool> Relation::Insert(Tuple&& tuple) {
@@ -104,13 +87,12 @@ Result<bool> Relation::InsertRow(T&& tuple) {
 }
 
 Result<bool> Relation::InsertProjection(const Tuple& tuple,
-                                        const std::vector<size_t>& columns,
-                                        size_t hash) {
+                                        const std::vector<size_t>& columns) {
   if (columns.size() != arity_) {
     return ArityMismatch("InsertProjection", columns.size(), arity_);
   }
-  const RowIdIndex::Entry entry =
-      index_.FindOrInsert(hash, rows_.size(), [&](uint32_t r) {
+  const RowIdIndex::Entry entry = index_.FindOrInsert(
+      tuple.HashOf(columns), rows_.size(), [&](uint32_t r) {
         return tuple.ColumnsEqual(columns, rows_[r], identity_);
       });
   if (!entry.inserted) {
@@ -120,15 +102,6 @@ Result<bool> Relation::InsertProjection(const Tuple& tuple,
   rows_.emplace_back().AssignProject(tuple, columns);
   IndexLastRow();
   return true;
-}
-
-std::vector<Tuple> Relation::TakeRows() {
-  std::vector<Tuple> taken = std::move(rows_);
-  rows_.clear();
-  index_ = RowIdIndex();
-  for (auto& [column, column_index] : column_indexes_) column_index.clear();
-  if (columnar_) columnar_ = std::make_unique<ColumnStore>(arity_);
-  return taken;
 }
 
 void Relation::IndexLastRow() {

@@ -47,13 +47,6 @@ class Relation {
   /// have the same arity.
   static Result<Relation> FromRows(std::vector<Tuple> rows);
 
-  /// Builds a relation from rows that are already pairwise distinct and
-  /// of `arity` (the parallel final merge, whose rows were deduplicated
-  /// by its shared set): only the index is built, with no equality check.
-  /// Distinctness is asserted in debug builds.
-  static Result<Relation> FromDistinctRows(size_t arity,
-                                           std::vector<Tuple> rows);
-
   size_t arity() const { return arity_; }
   size_t size() const { return rows_.size(); }
   bool empty() const { return rows_.empty(); }
@@ -76,15 +69,10 @@ class Relation {
   /// Inserts the projection of `tuple` onto `columns` (which must number
   /// arity()), hashed and compared in place: the projected tuple is built
   /// only when it is new, in place at the end of rows(). Join key sets and
-  /// projection dedup use this. `hash` must be `tuple.HashOf(columns)`;
-  /// `tuple` must not be a row of this relation (appending may move it).
+  /// projection dedup use this. `tuple` must not be a row of this
+  /// relation (appending may move it).
   Result<bool> InsertProjection(const Tuple& tuple,
-                                const std::vector<size_t>& columns,
-                                size_t hash);
-  Result<bool> InsertProjection(const Tuple& tuple,
-                                const std::vector<size_t>& columns) {
-    return InsertProjection(tuple, columns, tuple.HashOf(columns));
-  }
+                                const std::vector<size_t>& columns);
   /// True when the projection of `tuple` onto `columns` is a row; `hash`
   /// must be `tuple.HashOf(columns)`.
   bool ContainsProjection(const Tuple& tuple,
@@ -97,9 +85,6 @@ class Relation {
 
   /// Tuples in insertion order.
   const std::vector<Tuple>& rows() const { return rows_; }
-
-  /// Moves the rows out and leaves the relation empty (same arity).
-  std::vector<Tuple> TakeRows();
 
   /// Rows sorted by value — canonical order for comparisons in tests.
   std::vector<Tuple> SortedRows() const;

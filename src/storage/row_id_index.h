@@ -64,16 +64,10 @@ class RowIdIndex {
     const uint32_t found = Find(hash, eq);
     if (found != kNoRow) return {found, false};
     if (row >= kMaxRows) return {kNoRow, false};
-    InsertDistinct(hash, static_cast<uint32_t>(row));
-    return {static_cast<uint32_t>(row), true};
-  }
-
-  /// Adds `row` without looking for an equal entry: the caller knows its
-  /// key is not present yet (rows already deduplicated elsewhere).
-  void InsertDistinct(size_t hash, uint32_t row) {
     if ((size_ + 1) * 2 > slots_.size()) Grow();
-    Place(TagOf(hash), row);
+    Place(TagOf(hash), static_cast<uint32_t>(row));
     ++size_;
+    return {static_cast<uint32_t>(row), true};
   }
 
  private:

@@ -162,12 +162,6 @@ TEST_F(ChaosServiceTest, NoWrongAnswersUnderRandomizedFaults) {
           if (draw % 5 == 0) {
             request.options.deadline = 100ms;
           }
-          // Another slice runs morsel-parallel, putting the worker-shard
-          // budget reconciliation and the parallel operators under fire
-          // too (the ladder serializes them on retry).
-          if (draw % 3 == 0) {
-            request.options.num_threads = 2;
-          }
           auto reply = service.Submit(request);
           if (reply.ok()) {
             ok_replies.fetch_add(1);

@@ -1,10 +1,10 @@
 // The columnar differential suite: the row engine stays authoritative,
 // and a database with column stores enabled must produce bit-identical
 // answers — and matching governor counters where execution is
-// deterministic — across the whole 16-query paper suite, at every
-// parallelism degree, under tuple budgets, and down the service layer's
-// degradation ladder. `comparisons` is deliberately not compared: fewer
-// comparisons at equal answers is the columnar layer's entire point.
+// deterministic — across the whole 16-query paper suite, under tuple
+// budgets, and down the service layer's degradation ladder.
+// `comparisons` is deliberately not compared: fewer comparisons at equal
+// answers is the columnar layer's entire point.
 
 #include <gtest/gtest.h>
 
@@ -53,35 +53,23 @@ class ColumnarDifferentialTest : public ::testing::TestWithParam<uint64_t> {
   Database db_;
 };
 
-/// Whole suite, threads {0, 1, 2, 8}: answers must be bit-identical, and
-/// budget counters must match wherever execution is deterministic — open
-/// queries drain every operator fully, so their counters are exact at any
-/// degree; closed (first-witness) queries race workers at degree > 0, so
-/// only the serial degrees pin their counters.
+/// Whole suite: answers must be bit-identical, and the budget counters
+/// (scanned, materialized) must match.
 TEST_P(ColumnarDifferentialTest, SuiteAgreesWithRowEngine) {
   QueryProcessor columnar_qp(&db_);
   QueryProcessor row_qp(&db_);
   row_qp.SetExecOptions(RowOnlyOptions());
 
-  for (size_t threads : {0u, 1u, 2u, 8u}) {
-    QueryOptions options;
-    options.num_threads = threads;
-    for (const NamedQuery& nq : PaperQuerySuite()) {
-      const std::string label =
-          nq.name + " [threads=" + std::to_string(threads) + "]";
-      auto row = row_qp.Run(nq.text, Strategy::kBry, options);
-      auto col = columnar_qp.Run(nq.text, Strategy::kBry, options);
-      ASSERT_TRUE(row.ok()) << label << ": " << row.status();
-      ASSERT_TRUE(col.ok()) << label << ": " << col.status();
-      ExpectSameAnswer(*row, *col, label);
-      if (!row->answer.closed || threads == 0) {
-        EXPECT_EQ(col->stats.tuples_scanned, row->stats.tuples_scanned)
-            << label;
-        EXPECT_EQ(col->stats.tuples_materialized,
-                  row->stats.tuples_materialized)
-            << label;
-      }
-    }
+  for (const NamedQuery& nq : PaperQuerySuite()) {
+    auto row = row_qp.Run(nq.text, Strategy::kBry);
+    auto col = columnar_qp.Run(nq.text, Strategy::kBry);
+    ASSERT_TRUE(row.ok()) << nq.name << ": " << row.status();
+    ASSERT_TRUE(col.ok()) << nq.name << ": " << col.status();
+    ExpectSameAnswer(*row, *col, nq.name);
+    EXPECT_EQ(col->stats.tuples_scanned, row->stats.tuples_scanned)
+        << nq.name;
+    EXPECT_EQ(col->stats.tuples_materialized, row->stats.tuples_materialized)
+        << nq.name;
   }
 }
 
@@ -125,10 +113,9 @@ TEST_P(ColumnarDifferentialTest, BudgetsTripIdentically) {
   }
 }
 
-/// The service degradation ladder drives the same prepared plans through
-/// progressively simpler execution modes: parallel, serial, and serial
-/// with a cold (cache-bypassed) plan. Each rung must preserve the
-/// row/columnar agreement.
+/// The service degradation ladder drives the same query as requested
+/// (a cached plan) and then with a cold, cache-bypassed plan. Each rung
+/// must preserve the row/columnar agreement.
 TEST_P(ColumnarDifferentialTest, DegradationLadderPreservesParity) {
   QueryProcessor columnar_qp(&db_);
   QueryProcessor row_qp(&db_);
@@ -139,10 +126,7 @@ TEST_P(ColumnarDifferentialTest, DegradationLadderPreservesParity) {
     QueryOptions options;
   };
   std::vector<Rung> ladder;
-  QueryOptions parallel;
-  parallel.num_threads = 2;
-  ladder.push_back({"parallel", parallel});
-  ladder.push_back({"serial", QueryOptions{}});
+  ladder.push_back({"as-requested", QueryOptions{}});
   QueryOptions bypass;
   bypass.bypass_plan_cache = true;
   ladder.push_back({"bypass-cache", bypass});

@@ -3,7 +3,7 @@
 // parsed; every operator, the columnar gather and the predicate kernels
 // only copy values that already point into the pool. Interning takes the
 // pool's lock, so a per-row intern on the execution path would serialize
-// parallel workers — this test is the guard against reintroducing one.
+// concurrent queries — this test is the guard against reintroducing one.
 
 #include <gtest/gtest.h>
 
@@ -17,19 +17,10 @@
 namespace bryql {
 namespace {
 
-struct Setting {
-  size_t threads;
-  bool columnar;
-};
-
-const Setting kSettings[] = {{0, false}, {0, true}, {4, false}, {4, true}};
-
-/// Runs the whole paper suite once under `setting` on `qp`.
-void RunSuite(const QueryProcessor& qp, const Setting& setting) {
-  QueryOptions options;
-  options.num_threads = setting.threads;
+/// Runs the whole paper suite once on `qp`.
+void RunSuite(const QueryProcessor& qp) {
   for (const NamedQuery& nq : PaperQuerySuite()) {
-    auto run = qp.Run(nq.text, Strategy::kBry, options);
+    auto run = qp.Run(nq.text, Strategy::kBry);
     ASSERT_TRUE(run.ok()) << nq.name << ": " << run.status();
   }
 }
@@ -40,25 +31,23 @@ TEST(InternGuardTest, PaperSuiteExecutionNeverInterns) {
   Database db = MakeUniversity(config);
   db.EnableColumnarAll();
   // One processor per columnar setting: use_columnar shapes the lowered
-  // plan, while the thread count only drives it.
+  // plan.
   QueryProcessor row_qp(&db);
   QueryProcessor columnar_qp(&db);
   ExecOptions row_only;
   row_only.use_columnar = false;
   row_qp.SetExecOptions(row_only);
-  auto processor_for = [&](const Setting& s) -> const QueryProcessor& {
-    return s.columnar ? columnar_qp : row_qp;
-  };
+  const QueryProcessor* processors[] = {&row_qp, &columnar_qp};
   // Warm-up: parsing interns each query constant and fills the plan
   // caches, so the measured runs below parse nothing.
-  for (const Setting& s : kSettings) RunSuite(processor_for(s), s);
+  for (const QueryProcessor* qp : processors) RunSuite(*qp);
 
-  for (const Setting& s : kSettings) {
+  for (const QueryProcessor* qp : processors) {
     const InternPoolStats before = GetInternPoolStats();
-    RunSuite(processor_for(s), s);
+    RunSuite(*qp);
     const InternPoolStats after = GetInternPoolStats();
-    const std::string label = "threads=" + std::to_string(s.threads) +
-                              " columnar=" + (s.columnar ? "on" : "off");
+    const std::string label =
+        std::string("columnar=") + (qp == &columnar_qp ? "on" : "off");
     EXPECT_EQ(after.strings, before.strings) << label;
     EXPECT_EQ(after.bytes, before.bytes) << label;
     EXPECT_EQ(after.calls, before.calls) << label;

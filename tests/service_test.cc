@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -77,6 +78,9 @@ TEST(QueryServiceTest, FaultFreePathMatchesDirectRun) {
                    via_service_closed->execution.answer);
   EXPECT_EQ(via_service_open->attempts, 1u);
   EXPECT_EQ(via_service_open->degradation_level, 0);
+  // The default limiter admits one query per core, at least two.
+  EXPECT_EQ(service.max_concurrency(),
+            std::max<size_t>(2, std::thread::hardware_concurrency()));
 
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.submitted, 2u);
@@ -414,9 +418,9 @@ TEST_F(ServiceFailpointTest, PersistentTransientFaultExhaustsAttempts) {
 TEST_F(ServiceFailpointTest, PersistentThrowExhaustsTheLadderAsTransient) {
   // exec.physical.throw fires on every physical-operator dispatch, and
   // every rung runs the same operators, so no rung escapes it. The
-  // ladder walks parallel → serial → serial + cache bypass and then stays
-  // on its last rung: attempts run at rungs 0, 1, 2, 2, and the request
-  // ends as kTransient once max_attempts is spent.
+  // ladder steps from the run as requested to a plan-cache bypass and
+  // then stays on that last rung: attempts run at rungs 0, 1, 1, 1, and
+  // the request ends as kTransient once max_attempts is spent.
   Database db = MakeUniversity(SmallConfig(3));
   QueryProcessor qp(&db);
 
@@ -434,8 +438,9 @@ TEST_F(ServiceFailpointTest, PersistentThrowExhaustsTheLadderAsTransient) {
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.retries, 3u);
   EXPECT_EQ(stats.transient_failures, 4u);
-  EXPECT_EQ(stats.degraded_serial, 3u);        // rungs 1, 2, 2
-  EXPECT_EQ(stats.degraded_cache_bypass, 2u);  // rungs 2, 2
+  EXPECT_EQ(stats.degraded_cache_bypass, 3u);  // rungs 1, 1, 1
+  EXPECT_EQ(stats.degraded_serial, 0u);        // inert: no serial rung
+  EXPECT_EQ(stats.overload_degraded, 0u);      // inert
   EXPECT_EQ(stats.failed, 1u);
 
   // Without the ladder the same fault is terminal too, at rung 0 only.
@@ -447,7 +452,6 @@ TEST_F(ServiceFailpointTest, PersistentThrowExhaustsTheLadderAsTransient) {
   auto stuck = undegraded.Run(kOpenQuery);
   ASSERT_FALSE(stuck.ok());
   EXPECT_EQ(stuck.status().code(), StatusCode::kTransient);
-  EXPECT_EQ(undegraded.stats().degraded_serial, 0u);
   EXPECT_EQ(undegraded.stats().degraded_cache_bypass, 0u);
 }
 

@@ -378,16 +378,6 @@ TEST(RowIdIndexTest, RowIdBeyondThirtyTwoBitsIsRefusedNotWrapped) {
             RowIdIndex::kMaxRows - 1);
 }
 
-TEST(RelationTest, FromDistinctRowsIndexesEveryRow) {
-  auto rel = Relation::FromDistinctRows(1, {Ints({3}), Ints({1}), Ints({2})});
-  ASSERT_TRUE(rel.ok()) << rel.status();
-  EXPECT_EQ(rel->size(), 3u);
-  EXPECT_TRUE(rel->Contains(Ints({1})));
-  EXPECT_FALSE(*rel->Insert(Ints({2})));
-  EXPECT_TRUE(*rel->Insert(Ints({4})));
-  EXPECT_FALSE(Relation::FromDistinctRows(2, {Ints({1})}).ok());
-}
-
 TEST(RelationTest, InsertRejectsArityMismatch) {
   Relation r(2);
   auto bad = r.Insert(Ints({1}));

@@ -102,8 +102,8 @@ TEST(ValueInternTest, EqualTextsShareOneEntry) {
 }
 
 TEST(ValueInternTest, HashIsTheTextHash) {
-  // Row-id index slot order, parallel shard choice and the deterministic
-  // counters all depend on these exact hash values.
+  // Row-id index slot order and the deterministic counters depend on
+  // these exact hash values.
   for (const char* text : {"", "alice", "lecture-17", "mathematics"}) {
     EXPECT_EQ(Value::String(text).Hash(), std::hash<std::string>{}(text))
         << text;
